@@ -5,7 +5,7 @@ use crate::Tensor;
 
 /// Clip gradients to a maximum global L2 norm; returns the pre-clip norm.
 pub fn clip_grad_norm(params: &ParamSet, max_norm: f32) -> f32 {
-    let _prof = tmn_obs::profiler::phase("optim.clip_grad_norm");
+    let _prof = tmn_obs::Span::phase("optim.clip_grad_norm");
     let norm = params.grad_norm();
     if norm > max_norm && norm > 0.0 {
         let scale = max_norm / norm;
@@ -171,7 +171,7 @@ impl Adam {
 
     /// Apply one update; parameters without gradients are skipped.
     pub fn step(&mut self, params: &ParamSet) {
-        let _prof = tmn_obs::profiler::phase("optim.adam_step");
+        let _prof = tmn_obs::Span::phase("optim.adam_step");
         self.t += 1;
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);

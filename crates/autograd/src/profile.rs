@@ -1,9 +1,10 @@
 //! Bridge between tensor ops and the `tmn-obs` profiler.
 //!
-//! Every primitive op opens an [`op_scope`] at its entry: the scope times the
-//! forward computation (including graph-node construction) and, through a
-//! thread-local, tags the op's output node so [`crate::Tensor::backward`] can
-//! attribute the matching backward closure to the same name.
+//! Every primitive op opens an [`op_scope`] at its entry: a profiler
+//! [`Span`] of kind `forward` that times the forward computation (including
+//! graph-node construction) and, through a thread-local, tags the op's
+//! output node so [`crate::Tensor::backward`] can attribute the matching
+//! `backward` span to the same name.
 //!
 //! Only *primitive* ops (one `Tensor::from_op` call) may be instrumented —
 //! composite helpers like `mean_all` are already covered by their children,
@@ -13,7 +14,7 @@
 //! load per op and `None` everywhere else; numerics are untouched either way.
 
 use std::cell::Cell;
-use tmn_obs::profiler;
+use tmn_obs::{profiler, ScopeKind, Span};
 
 /// Every op name that may open an [`op_scope`], i.e. every primitive op with
 /// a registered FLOP estimator (0 is a valid estimate for pure data-movement
@@ -66,11 +67,11 @@ thread_local! {
     static CURRENT_OP: Cell<Option<(&'static str, u64)>> = const { Cell::new(None) };
 }
 
-/// Forward-op measurement; restores the previous thread-local tag on drop,
-/// then records into the registry.
+/// Forward-op span; restores the previous thread-local tag on drop, then
+/// the span records into the profiler.
 pub(crate) struct OpScope {
     prev: Option<(&'static str, u64)>,
-    _inner: profiler::Scope,
+    _span: Span,
 }
 
 impl Drop for OpScope {
@@ -87,9 +88,12 @@ pub(crate) fn op_scope(name: &'static str, flops: u64) -> Option<OpScope> {
         INSTRUMENTED_OPS.binary_search(&name).is_ok() || name.starts_with("prof."),
         "op '{name}' opens a scope but is not listed in INSTRUMENTED_OPS"
     );
-    let inner = profiler::scope(name, flops)?;
+    if !profiler::is_enabled() {
+        return None;
+    }
+    let span = Span::new(name).profile(ScopeKind::Forward, flops);
     let prev = CURRENT_OP.with(|c| c.replace(Some((name, flops))));
-    Some(OpScope { prev, _inner: inner })
+    Some(OpScope { prev, _span: span })
 }
 
 /// The `(name, flops)` of the op scope open on this thread, if any.

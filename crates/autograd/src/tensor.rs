@@ -13,6 +13,7 @@
 use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::rc::Rc;
+use tmn_obs::{ScopeKind, Span};
 
 thread_local! {
     static NEXT_ID: Cell<u64> = const { Cell::new(0) };
@@ -291,43 +292,31 @@ impl Tensor {
         );
         // Topological order over the recorded graph.
         let order = {
-            let _prof = tmn_obs::profiler::phase("autograd.topo_sort");
+            let _prof = Span::phase("autograd.topo_sort");
             self.topo_order()
         };
         self.accumulate_grad(&[1.0]);
-        let profiling = tmn_obs::profiler::is_enabled();
         for node in order.iter().rev() {
             let Some(back) = node.inner.backward.as_ref() else {
                 continue;
             };
+            if node.inner.grad.borrow().is_none() {
+                continue;
+            }
             // Attribute this node's backward pass to the op that built it.
             // A backward step reads and writes roughly twice the data of its
             // forward (out_grad in, parent grads out), hence the 2x estimate.
-            let prof = match node.inner.op {
-                Some((name, flops)) if profiling => {
-                    Some((name, flops, std::time::Instant::now()))
-                }
-                _ => None,
+            let _prof = node.inner.op.map(|(name, flops)| {
+                Span::new(name).profile(ScopeKind::Backward, flops.saturating_mul(2))
+            });
+            let grad = node.inner.grad.borrow().clone().expect("checked above");
+            let data = node.inner.data.borrow();
+            let ctx = BackCtx {
+                out_grad: &grad,
+                out_data: &data,
+                parents: &node.inner.parents,
             };
-            {
-                let grad = node.inner.grad.borrow().clone();
-                let Some(grad) = grad else { continue };
-                let data = node.inner.data.borrow();
-                let ctx = BackCtx {
-                    out_grad: &grad,
-                    out_data: &data,
-                    parents: &node.inner.parents,
-                };
-                back(&ctx);
-            }
-            if let Some((name, flops, start)) = prof {
-                tmn_obs::profiler::record(
-                    name,
-                    tmn_obs::profiler::ScopeKind::Backward,
-                    start.elapsed().as_nanos() as u64,
-                    flops.saturating_mul(2),
-                );
-            }
+            back(&ctx);
         }
     }
 

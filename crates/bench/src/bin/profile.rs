@@ -28,7 +28,7 @@
 use std::time::Instant;
 use tmn::prelude::*;
 use tmn_bench::{write_json, Scale, Table};
-use tmn_eval::{time_search_phases, SearchPhases};
+use tmn_eval::{time_search_phases_detailed, SearchPhases};
 use tmn_obs::{metrics, profiler, BatchTelemetry, EpochTelemetry, MetricsSnapshot, OpRecord, TelemetrySink};
 
 const OPS_PATH: &str = "results/PROFILE_ops.json";
@@ -171,7 +171,7 @@ fn run() {
     let coverage = instrumented_ns as f64 / train_wall.as_nanos().max(1) as f64;
 
     profiler::reset();
-    let (phases, _results) = time_search_phases(model.as_ref(), &ds.train, &queries, 10, 32);
+    let (phases, _, _) = time_search_phases_detailed(model.as_ref(), &ds.train, &queries, 10, 32);
     let eval_ops = profiler::snapshot();
     profiler::set_enabled(false);
 

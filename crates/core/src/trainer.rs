@@ -17,7 +17,7 @@ use tmn_data::Sampler;
 use tmn_traj::metrics::{prefix_distances, Metric, MetricParams};
 use tmn_traj::{GroundTruth, SimilarityTransform, Trajectory};
 use tmn_autograd::optim::{clip_grad_norm, Adam};
-use tmn_obs::{memory, metrics, profiler, BatchTelemetry, EpochTelemetry, EventTelemetry, TelemetrySink};
+use tmn_obs::{memory, metrics, BatchTelemetry, EpochTelemetry, EventTelemetry, Span, TelemetrySink};
 
 /// Registry names for the training-side metrics (see DESIGN.md §8).
 pub const TRAIN_BATCH_NS: &str = "train_batch_ns";
@@ -371,7 +371,7 @@ impl<'a> Trainer<'a> {
             Some(&self.optimizer.state_snapshot()),
             Some(&state),
         );
-        let _prof = profiler::phase("trainer.checkpoint_save");
+        let _prof = Span::phase("trainer.checkpoint_save");
         let result = self.store.as_ref().expect("store checked above").save(&bytes);
         match result {
             Ok(path) => self.emit_event("checkpoint_saved", epoch, path.display().to_string()),
@@ -472,7 +472,7 @@ impl<'a> Trainer<'a> {
 
     fn step_serial(&mut self, pairs: &[(usize, usize, f32)]) -> StepInfo {
         let (batch, targets) = {
-            let _prof = profiler::phase("trainer.batch_prep");
+            let _prof = Span::phase("trainer.batch_prep");
             let anchors: Vec<&Trajectory> = pairs.iter().map(|&(a, _, _)| &self.train[a]).collect();
             let samples: Vec<&Trajectory> = pairs.iter().map(|&(_, s, _)| &self.train[s]).collect();
             let batch = PairBatch::build(&anchors, &samples);
@@ -525,7 +525,7 @@ impl<'a> Trainer<'a> {
     /// `post_step` is *not* invoked here: models that rely on it report
     /// `supports_data_parallel() == false` and never reach this path.
     fn step_parallel(&mut self, pairs: &[(usize, usize, f32)], workers: usize) -> StepInfo {
-        let prep = profiler::phase("trainer.batch_prep");
+        let prep = Span::phase("trainer.batch_prep");
         let (kind, mconfig) = self.replica_spec.expect("step_parallel requires a replica spec");
         // Group similar-length pairs into the same chunk (longest first,
         // stable for determinism) so short chunks aren't padded to the
@@ -588,7 +588,7 @@ impl<'a> Trainer<'a> {
         params.zero_grad();
         let mut total_loss = 0.0f32;
         {
-            let _prof = profiler::phase("trainer.grad_reduce");
+            let _prof = Span::phase("trainer.grad_reduce");
             for (grads, chunk_loss) in &results {
                 params.accumulate_grads(grads);
                 total_loss += chunk_loss;
@@ -604,18 +604,17 @@ impl<'a> Trainer<'a> {
 
     /// One gradient step plus its telemetry record.
     fn run_batch(&mut self, epoch: usize, batch: usize, chunk: &[(usize, usize, f32)]) -> StepInfo {
-        let start = Instant::now();
+        let span = Span::new("trainer.batch").histogram(TRAIN_BATCH_NS);
         let info = self.step(chunk);
         let lr = self.optimizer.lr();
-        // Serving-side registry shares the export surface with eval: batch
-        // wall time as histogram + gauge, memory watermarks when the
-        // counting allocator is compiled in. Reads already-computed scalars
-        // only, so it can never perturb the step itself
-        // (tests/metrics_invariance.rs).
-        let wall = start.elapsed();
-        metrics::observe_duration(TRAIN_BATCH_NS, wall);
+        // Serving-side registry shares the export surface with eval: the
+        // one batch span feeds the histogram, the wall gauge and the
+        // telemetry record; memory watermarks join when the counting
+        // allocator is compiled in. Reads already-computed scalars only, so
+        // it can never perturb the step itself (tests/metrics_invariance.rs).
+        let wall_ms = span.finish() as f64 / 1e6;
         metrics::counter_add(TRAIN_BATCHES_TOTAL, 1);
-        metrics::gauge_set(TRAIN_BATCH_WALL_MS, wall.as_secs_f64() * 1e3);
+        metrics::gauge_set(TRAIN_BATCH_WALL_MS, wall_ms);
         if memory::is_active() {
             metrics::gauge_set(TRAIN_PEAK_BYTES, memory::peak_bytes() as f64);
             metrics::gauge_set(TRAIN_LIVE_BYTES, memory::live_bytes() as f64);
@@ -639,7 +638,7 @@ impl<'a> Trainer<'a> {
                     loss: info.loss_sum / chunk.len().max(1) as f32,
                     grad_norm: info.grad_norm,
                     lr,
-                    wall_ms: start.elapsed().as_secs_f64() * 1e3,
+                    wall_ms,
                 });
             }
         }
@@ -747,7 +746,7 @@ impl<'a> Trainer<'a> {
                 let anchor = order[next_anchor];
                 next_anchor += 1;
                 let samples = {
-                    let _prof = profiler::phase("trainer.sampling");
+                    let _prof = Span::phase("trainer.sampling");
                     self.sampler.sample(anchor, k, self.truth, &mut self.rng)
                 };
                 buffer.extend(samples.pairs());

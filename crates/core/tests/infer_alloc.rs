@@ -28,7 +28,9 @@ use tmn_traj::{Point, Trajectory};
 /// this, while graph bookkeeping and the returned `[B·d]` vector stay below.
 const LARGE: usize = 4096;
 
-/// The armed counter is process-global; serialize measuring tests.
+/// The armed counter is process-global and counts every thread's
+/// allocations, so every test in this binary that allocates large buffers
+/// serializes with the measuring one.
 fn test_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
@@ -74,6 +76,7 @@ fn counting_allocator_is_compiled_in() {
 
 #[test]
 fn nograd_embeddings_match_graphed_forward_bitwise() {
+    let _l = test_lock();
     let batch = ragged_batch();
     for kind in ModelKind::ALL {
         let model = kind.build(&ModelConfig { dim: 16, seed: 7 });
@@ -92,6 +95,7 @@ fn nograd_embeddings_match_graphed_forward_bitwise() {
 fn neutraj_fast_path_sees_the_warm_memory() {
     // NeuTraj's embeddings depend on its spatial attention memory; the fast
     // path must read the same (written) state as the graphed forward.
+    let _l = test_lock();
     let batch = ragged_batch();
     let model = ModelKind::NeuTraj.build(&ModelConfig { dim: 16, seed: 9 });
     let enc = model.encode_pairs(&batch);

@@ -16,7 +16,6 @@
 
 mod correlation;
 mod metrics;
-mod parallel;
 mod search;
 mod sharded;
 mod store;
@@ -24,7 +23,6 @@ mod timing;
 
 pub use correlation::{kendall_tau, pearson, spearman};
 pub use metrics::{evaluate, hitting_ratio, recall_at, top_k_indices, Evaluation};
-pub use parallel::predicted_distance_rows_parallel;
 pub use sharded::evaluate_sharded;
 pub use store::{EmbeddingStore, StoreError};
 pub use search::{
@@ -32,8 +30,7 @@ pub use search::{
     predicted_distance_rows,
 };
 pub use timing::{
-    time_embedding_distance, time_exact_pairwise, time_exact_pairwise_counted,
-    time_inference_per_trajectory, time_inference_per_trajectory_counted, time_inference_split,
-    time_search_phases, time_search_phases_detailed, EfficiencyRow, InferenceTimings,
+    time_embedding_distance, time_exact_pairwise_counted, time_inference_per_trajectory_counted,
+    time_inference_split, time_search_phases_detailed, EfficiencyRow, InferenceTimings,
     QueryLatencies, SearchPhases, QUERIES_TOTAL, QUERY_EMBED_NS, QUERY_INDEX_NS, QUERY_RANK_NS,
 };

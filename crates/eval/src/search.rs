@@ -17,7 +17,7 @@
 
 use tmn_autograd::{no_grad, ops};
 use tmn_core::{PairBatch, PairModel};
-use tmn_obs::{metrics, profiler};
+use tmn_obs::{metrics, trace, Span};
 use tmn_traj::Trajectory;
 
 /// Euclidean distance between two embedding vectors.
@@ -34,7 +34,7 @@ pub fn embedding_distance(a: &[f32], b: &[f32]) -> f64 {
 /// back to [`encode_all_graphed`]'s per-chunk logic under `no_grad`.
 pub fn encode_all(model: &dyn PairModel, trajs: &[Trajectory], batch_size: usize) -> Vec<Vec<f32>> {
     assert!(batch_size > 0, "encode_all: batch_size must be positive");
-    let _prof = profiler::phase("search.encode_all");
+    let _prof = Span::phase("search.encode_all");
     let d = model.dim();
     let mut out = Vec::with_capacity(trajs.len());
     for chunk in trajs.chunks(batch_size) {
@@ -61,7 +61,7 @@ pub fn encode_all_graphed(
     batch_size: usize,
 ) -> Vec<Vec<f32>> {
     assert!(batch_size > 0, "encode_all_graphed: batch_size must be positive");
-    let _prof = profiler::phase("search.encode_all_graphed");
+    let _prof = Span::phase("search.encode_all_graphed");
     let mut out = Vec::with_capacity(trajs.len());
     no_grad(|| {
         for chunk in trajs.chunks(batch_size) {
@@ -98,7 +98,7 @@ pub fn pairwise_query_distances(
     batch_size: usize,
 ) -> Vec<f64> {
     assert!(batch_size > 0, "pairwise_query_distances: batch_size must be positive");
-    let _prof = profiler::phase("search.pairwise_query");
+    let _prof = Span::phase("search.pairwise_query");
     let d = model.dim();
     let mut out = Vec::with_capacity(candidates.len());
     for chunk in candidates.chunks(batch_size) {
@@ -139,20 +139,20 @@ pub fn predicted_distance_rows(
     batch_size: usize,
 ) -> Vec<Vec<f64>> {
     metrics::counter_add(crate::timing::QUERIES_TOTAL, queries.len() as u64);
+    let embed_span = || trace::span("eval.embed").histogram(crate::timing::QUERY_EMBED_NS);
     if model.is_pair_dependent() {
         queries
             .iter()
             .map(|&q| {
-                let start = std::time::Instant::now();
-                let row = pairwise_query_distances(model, &trajs[q], trajs, batch_size);
-                metrics::observe_duration(crate::timing::QUERY_EMBED_NS, start.elapsed());
-                row
+                let _span = embed_span();
+                pairwise_query_distances(model, &trajs[q], trajs, batch_size)
             })
             .collect()
     } else {
-        let start = std::time::Instant::now();
-        let emb = encode_all(model, trajs, batch_size);
-        metrics::observe_duration(crate::timing::QUERY_EMBED_NS, start.elapsed());
+        let emb = {
+            let _span = embed_span();
+            encode_all(model, trajs, batch_size)
+        };
         queries
             .iter()
             .map(|&q| emb.iter().map(|e| embedding_distance(&emb[q], e)).collect())

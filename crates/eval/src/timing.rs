@@ -4,14 +4,14 @@
 
 use std::time::Instant;
 use tmn_core::PairModel;
-use tmn_obs::{metrics, trace};
+use tmn_obs::{metrics, trace, ScopeKind};
 use tmn_traj::metrics::{Metric, MetricParams};
 use tmn_traj::Trajectory;
 
 /// Registry names for the serving-path metrics (see DESIGN.md §8). One
 /// histogram observation per query span; for independent-embedding models
 /// the embed/index spans cover the whole batch and are recorded once per
-/// search call (documented on [`time_search_phases`]).
+/// search call (documented on [`time_search_phases_detailed`]).
 pub const QUERY_EMBED_NS: &str = "query_embed_ns";
 pub const QUERY_INDEX_NS: &str = "query_index_ns";
 pub const QUERY_RANK_NS: &str = "query_rank_ns";
@@ -59,13 +59,6 @@ pub fn time_exact_pairwise_counted(
     // Keep the accumulation observable so the loop cannot be optimized out.
     std::hint::black_box(acc);
     (start.elapsed().as_secs_f64(), pairs)
-}
-
-/// Wall-clock seconds to compute all pairwise distances of `trajs` under
-/// `metric` (the exact-metric "Computation" entry of Table III).
-/// Thin wrapper over [`time_exact_pairwise_counted`].
-pub fn time_exact_pairwise(trajs: &[Trajectory], metric: Metric, params: &MetricParams) -> f64 {
-    time_exact_pairwise_counted(trajs, metric, params).0
 }
 
 /// Total wall-clock seconds to encode every trajectory with `model`
@@ -127,17 +120,6 @@ pub fn time_inference_split(
     InferenceTimings { nograd_s, graphed_s, trajectories: trajs.len() as u64 }
 }
 
-/// Mean seconds to encode one trajectory. Thin wrapper over
-/// [`time_inference_per_trajectory_counted`].
-pub fn time_inference_per_trajectory(
-    model: &dyn PairModel,
-    trajs: &[Trajectory],
-    batch_size: usize,
-) -> f64 {
-    let (secs, n) = time_inference_per_trajectory_counted(model, trajs, batch_size);
-    secs / n.max(1) as f64
-}
-
 /// Mean seconds to compute the Euclidean similarity of two `d`-dim
 /// embeddings (the learning-based "Computation" entry; effectively O(d)).
 pub fn time_embedding_distance(dim: usize, reps: usize) -> f64 {
@@ -194,43 +176,25 @@ pub struct QueryLatencies {
     pub rank_ns: Vec<u64>,
 }
 
-#[inline]
-fn elapsed_ns(start: Instant) -> u64 {
-    start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64
-}
-
 /// Run a full top-k search for `queries` (database indices) over `trajs`
-/// and report per-phase timings alongside each query's `(index, distance)`
-/// result list (self included).
+/// and report per-phase timings, each query's `(index, distance)` result
+/// list (self included), and the exact per-span latencies behind the
+/// timings (the metrics-histogram oracle used by `tests/serving_metrics.rs`).
 ///
 /// Independent-embedding models go through encode → store-build → k-NN scan;
 /// pair-dependent models (TMN) pay the encoding per query and skip the
 /// index phase entirely — the cost asymmetry of the paper's Table III.
 ///
-/// Serving metrics: every span is also recorded into the global
-/// [`tmn_obs::metrics`] registry — per-query spans feed the
-/// [`QUERY_EMBED_NS`] / [`QUERY_RANK_NS`] histograms and [`QUERIES_TOTAL`];
-/// for independent models the one-shot whole-batch embed/index spans go to
-/// [`QUERY_EMBED_NS`] / [`QUERY_INDEX_NS`] (one observation per call).
-///
-/// Tracing: when [`tmn_obs::trace`] is enabled, each call opens an
-/// `eval.search` request and records the same intervals as `eval.embed` /
-/// `eval.index` / `eval.rank` child spans, so offline evaluation runs land
-/// in the flight recorder exactly like live serve traffic. Histogram
-/// observations carry the trace id as an exemplar.
-pub fn time_search_phases(
-    model: &dyn PairModel,
-    trajs: &[Trajectory],
-    queries: &[usize],
-    k: usize,
-    batch_size: usize,
-) -> (SearchPhases, Vec<Vec<(usize, f64)>>) {
-    let (phases, results, _) = time_search_phases_detailed(model, trajs, queries, k, batch_size);
-    (phases, results)
-}
-
-/// [`time_search_phases`] plus the exact per-span latencies it recorded
-/// (the metrics-histogram oracle used by `tests/serving_metrics.rs`).
+/// Every stage is one span: `eval.embed` feeds [`QUERY_EMBED_NS`],
+/// `eval.index` feeds [`QUERY_INDEX_NS`] and `eval.rank` feeds
+/// [`QUERY_RANK_NS`], one observation per span — per query for embed (pair-
+/// dependent models) and rank, one whole-batch embed/index observation per
+/// call for independent models — and [`QUERIES_TOTAL`] advances by the
+/// query count. When [`tmn_obs::trace`] is enabled, the call is an
+/// `eval.search` request whose tree holds the same spans, so offline
+/// evaluation lands in the flight recorder exactly like live serve
+/// traffic, and histogram exemplars name that trace. The `eval.search` root
+/// is also the call's profiler phase.
 pub fn time_search_phases_detailed(
     model: &dyn PairModel,
     trajs: &[Trajectory],
@@ -238,71 +202,52 @@ pub fn time_search_phases_detailed(
     k: usize,
     batch_size: usize,
 ) -> (SearchPhases, Vec<Vec<(usize, f64)>>, QueryLatencies) {
-    let _prof = tmn_obs::profiler::phase("eval.search");
-    let req = trace::request_begin("eval.search");
+    let req = trace::request_begin("eval.search").profile(ScopeKind::Phase, 0);
     let _ambient = trace::attach(req.ctx());
-    let ctx = req.ctx();
     let mut lat = QueryLatencies::default();
     metrics::counter_add(QUERIES_TOTAL, queries.len() as u64);
-    let (phases, results) = if model.is_pair_dependent() {
+    let results = if model.is_pair_dependent() {
         let mut rows: Vec<Vec<f64>> = Vec::with_capacity(queries.len());
         for &q in queries {
-            let t0 = trace::now_ns();
-            let start = Instant::now();
-            let row = crate::search::pairwise_query_distances(model, &trajs[q], trajs, batch_size);
-            let ns = elapsed_ns(start);
-            trace::record_span(ctx, "eval.embed", t0, ns, &[("query", q as u64)]);
-            metrics::observe_ns_traced(QUERY_EMBED_NS, ns, ctx.trace_id());
-            lat.embed_ns.push(ns);
-            rows.push(row);
+            let span = trace::span("eval.embed").attr("query", q as u64).histogram(QUERY_EMBED_NS);
+            rows.push(crate::search::pairwise_query_distances(model, &trajs[q], trajs, batch_size));
+            lat.embed_ns.push(span.finish());
         }
         let mut results = Vec::with_capacity(rows.len());
         for row in &rows {
-            let t0 = trace::now_ns();
-            let start = Instant::now();
+            let span = trace::span("eval.rank")
+                .attr("candidates", row.len() as u64)
+                .histogram(QUERY_RANK_NS);
             let mut idx: Vec<usize> = (0..row.len()).collect();
             idx.sort_by(|&a, &b| row[a].partial_cmp(&row[b]).unwrap().then(a.cmp(&b)));
             idx.truncate(k);
-            let ranked: Vec<(usize, f64)> = idx.into_iter().map(|i| (i, row[i])).collect();
-            let ns = elapsed_ns(start);
-            trace::record_span(ctx, "eval.rank", t0, ns, &[("candidates", row.len() as u64)]);
-            metrics::observe_ns_traced(QUERY_RANK_NS, ns, ctx.trace_id());
-            lat.rank_ns.push(ns);
-            results.push(ranked);
+            results.push(idx.into_iter().map(|i| (i, row[i])).collect());
+            lat.rank_ns.push(span.finish());
         }
-        let embed_s = lat.embed_ns.iter().sum::<u64>() as f64 / 1e9;
-        let rank_s = lat.rank_ns.iter().sum::<u64>() as f64 / 1e9;
-        (SearchPhases { embed_s, index_s: 0.0, rank_s, queries: queries.len() }, results)
+        results
     } else {
-        let t0 = trace::now_ns();
-        let start = Instant::now();
+        let span =
+            trace::span("eval.embed").attr("trajs", trajs.len() as u64).histogram(QUERY_EMBED_NS);
         let emb = crate::search::encode_all(model, trajs, batch_size);
-        let embed_ns = elapsed_ns(start);
-        trace::record_span(ctx, "eval.embed", t0, embed_ns, &[("trajs", trajs.len() as u64)]);
-        metrics::observe_ns_traced(QUERY_EMBED_NS, embed_ns, ctx.trace_id());
-        lat.embed_ns.push(embed_ns);
-        let t0 = trace::now_ns();
-        let start = Instant::now();
+        lat.embed_ns.push(span.finish());
+        let span =
+            trace::span("eval.index").attr("vectors", emb.len() as u64).histogram(QUERY_INDEX_NS);
         let store = crate::EmbeddingStore::from_vectors(&emb);
-        let index_ns = elapsed_ns(start);
-        trace::record_span(ctx, "eval.index", t0, index_ns, &[("vectors", emb.len() as u64)]);
-        metrics::observe_ns_traced(QUERY_INDEX_NS, index_ns, ctx.trace_id());
-        lat.index_ns.push(index_ns);
+        lat.index_ns.push(span.finish());
         let mut results = Vec::with_capacity(queries.len());
         for &q in queries {
-            let t0 = trace::now_ns();
-            let start = Instant::now();
-            let ranked = store.knn_exact(&emb[q], k);
-            let ns = elapsed_ns(start);
-            trace::record_span(ctx, "eval.rank", t0, ns, &[("query", q as u64)]);
-            metrics::observe_ns_traced(QUERY_RANK_NS, ns, ctx.trace_id());
-            lat.rank_ns.push(ns);
-            results.push(ranked);
+            let span = trace::span("eval.rank").attr("query", q as u64).histogram(QUERY_RANK_NS);
+            results.push(store.knn_exact(&emb[q], k));
+            lat.rank_ns.push(span.finish());
         }
-        let embed_s = embed_ns as f64 / 1e9;
-        let index_s = index_ns as f64 / 1e9;
-        let rank_s = lat.rank_ns.iter().sum::<u64>() as f64 / 1e9;
-        (SearchPhases { embed_s, index_s, rank_s, queries: queries.len() }, results)
+        results
+    };
+    let secs = |ns: &[u64]| ns.iter().sum::<u64>() as f64 / 1e9;
+    let phases = SearchPhases {
+        embed_s: secs(&lat.embed_ns),
+        index_s: secs(&lat.index_ns),
+        rank_s: secs(&lat.rank_ns),
+        queries: queries.len(),
     };
     (phases, results, lat)
 }
@@ -321,8 +266,11 @@ mod tests {
 
     #[test]
     fn exact_timing_positive_and_scales() {
-        let small = time_exact_pairwise(&trajs(6, 20), Metric::Dtw, &MetricParams::default());
-        let large = time_exact_pairwise(&trajs(12, 40), Metric::Dtw, &MetricParams::default());
+        let (small, small_pairs) =
+            time_exact_pairwise_counted(&trajs(6, 20), Metric::Dtw, &MetricParams::default());
+        let (large, large_pairs) =
+            time_exact_pairwise_counted(&trajs(12, 40), Metric::Dtw, &MetricParams::default());
+        assert_eq!((small_pairs, large_pairs), (15, 66));
         assert!(small > 0.0);
         assert!(large > small, "more work must take longer: {small} vs {large}");
     }
@@ -330,8 +278,9 @@ mod tests {
     #[test]
     fn inference_timing_positive() {
         let model = ModelKind::Srn.build(&ModelConfig { dim: 8, seed: 1 });
-        let t = time_inference_per_trajectory(model.as_ref(), &trajs(4, 10), 4);
+        let (t, n) = time_inference_per_trajectory_counted(model.as_ref(), &trajs(4, 10), 4);
         assert!(t > 0.0 && t.is_finite());
+        assert_eq!(n, 4);
     }
 
     #[test]
@@ -347,7 +296,7 @@ mod tests {
     fn search_phases_independent_model() {
         let model = ModelKind::Srn.build(&ModelConfig { dim: 8, seed: 1 });
         let ts = trajs(8, 10);
-        let (phases, results) = time_search_phases(model.as_ref(), &ts, &[0, 3], 4, 4);
+        let (phases, results, _) = time_search_phases_detailed(model.as_ref(), &ts, &[0, 3], 4, 4);
         assert_eq!(phases.queries, 2);
         assert!(phases.embed_s > 0.0 && phases.rank_s > 0.0);
         assert_eq!(results.len(), 2);
@@ -363,7 +312,7 @@ mod tests {
     fn search_phases_pair_dependent_model_skips_index() {
         let model = ModelKind::Tmn.build(&ModelConfig { dim: 8, seed: 2 });
         let ts = trajs(6, 8);
-        let (phases, results) = time_search_phases(model.as_ref(), &ts, &[1], 3, 3);
+        let (phases, results, _) = time_search_phases_detailed(model.as_ref(), &ts, &[1], 3, 3);
         assert_eq!(phases.index_s, 0.0, "pair-dependent search has no index phase");
         assert!(phases.embed_s > 0.0);
         assert_eq!(results[0].len(), 3);
@@ -379,7 +328,7 @@ mod tests {
             ..Default::default()
         });
         trace::set_enabled(true);
-        let _ = time_search_phases(model.as_ref(), &ts, &[0, 3], 4, 4);
+        let _ = time_search_phases_detailed(model.as_ref(), &ts, &[0, 3], 4, 4);
         trace::set_enabled(false);
         let snap = trace::recent()
             .into_iter()

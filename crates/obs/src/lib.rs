@@ -5,25 +5,22 @@
 //! reports through this one, so it depends only on the vendored `serde` /
 //! `serde_json` stubs.
 //!
-//! Five subsystems:
+//! One timing primitive, [`span::Span`], feeds three aggregators: a span
+//! reads the clock at open and at close, and its close records that one
+//! interval into whichever of them the call site attached.
 //!
-//! - [`profiler`] — a process-global, thread-safe registry of timed scopes.
-//!   `tmn-autograd` records every forward and backward op (wall time, call
-//!   count, FLOP estimate); `tmn-core` and `tmn-eval` record coarse phases
-//!   (batch assembly, optimizer step, eval embed/index/rank). Disabled by
-//!   default: the off path is a single relaxed atomic load per scope, and
-//!   instrumentation never touches numerics either way.
-//! - [`telemetry`] — per-batch / per-epoch training records streamed as
-//!   JSON Lines, one object per line, so a run can be tailed live and
-//!   post-processed with standard tooling.
+//! - [`profiler`] — a process-global, thread-safe `(name, kind)` aggregate.
+//!   `tmn-autograd` opens a span for every forward and backward op (wall
+//!   time, call count, FLOP estimate); `tmn-core` and `tmn-eval` open
+//!   coarse phase spans (batch assembly, optimizer step, eval
+//!   embed/index/rank). Disabled by default: the off path is a single
+//!   relaxed atomic load per span, and instrumentation never touches
+//!   numerics either way.
 //! - [`metrics`] — serving-path metrics registry: counters, gauges and
 //!   log-linear latency histograms (exact cross-thread merge, p50/p90/p95/
 //!   p99/max with a documented ≤ 1/16 bucket error), exported through
 //!   [`export`] as Prometheus text or a JSON snapshot. Enabled by default;
 //!   granularity is per-query / per-batch, not per-op.
-//! - [`memory`] — opt-in (`alloc-count` feature) counting global allocator:
-//!   live/peak bytes and allocation counts, surfaced as gauges and used by
-//!   allocation-regression tests.
 //! - [`trace`] — request-scoped span tracing plus a flight recorder:
 //!   per-request span trees (queue wait, embed, per-shard knn, rerank,
 //!   merge...), tail-based slow-query capture, Chrome trace-event / text
@@ -31,15 +28,24 @@
 //!   histograms. Disabled by default, same one-atomic-load off path as the
 //!   profiler.
 //!
+//! Two more subsystems record no intervals:
+//!
+//! - [`telemetry`] — per-batch / per-epoch training records streamed as
+//!   JSON Lines, one object per line, so a run can be tailed live and
+//!   post-processed with standard tooling.
+//! - [`memory`] — opt-in (`alloc-count` feature) counting global allocator:
+//!   live/peak bytes and allocation counts, surfaced as gauges and used by
+//!   allocation-regression tests.
+//!
 //! ## Example
 //!
 //! ```
-//! use tmn_obs::profiler;
+//! use tmn_obs::{profiler, ScopeKind, Span};
 //!
 //! profiler::reset();
 //! profiler::set_enabled(true);
 //! {
-//!     let _scope = profiler::scope("demo.matmul", 2 * 4 * 4 * 4);
+//!     let _span = Span::new("demo.matmul").profile(ScopeKind::Forward, 2 * 4 * 4 * 4);
 //!     // ... do the work being measured ...
 //! }
 //! profiler::set_enabled(false);
@@ -53,10 +59,20 @@ pub mod export;
 pub mod memory;
 pub mod metrics;
 pub mod profiler;
+pub mod span;
 pub mod telemetry;
 pub mod trace;
 
 pub use metrics::{Histogram, HistogramSnapshot, MetricsSnapshot};
 pub use profiler::{OpRecord, ScopeKind};
+pub use span::Span;
 pub use trace::{SpanSnapshot, TraceConfig, TraceCtx, TraceSnapshot, TraceStats};
 pub use telemetry::{BatchTelemetry, EpochTelemetry, EventTelemetry, TelemetrySink};
+
+/// The profiler, metrics and trace registries are process-global: unit
+/// tests that reset or toggle any of them serialize on this one lock.
+#[cfg(test)]
+pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}

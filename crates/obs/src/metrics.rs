@@ -318,26 +318,18 @@ pub fn gauge_set(name: &'static str, value: f64) {
     lock().gauges.insert(name, value);
 }
 
-/// Record one latency observation (nanoseconds) into a named histogram.
-pub fn observe_ns(name: &'static str, ns: u64) {
-    observe_ns_traced(name, ns, 0);
-}
-
-/// Record one latency observation carrying the trace id of the request that
-/// produced it (0 = untraced; see [`Histogram::observe_traced`] for the
-/// exemplar-retention rule). The serving path passes
-/// [`crate::trace::current_trace`] here so exported histograms point p99
-/// hunters at a concrete flight-recorded trace.
+/// Record one latency observation (nanoseconds) carrying the trace id of
+/// the request that produced it (0 = untraced; see
+/// [`Histogram::observe_traced`] for the exemplar-retention rule). A
+/// [`Span`](crate::span::Span) with a histogram sink calls this at close
+/// with its own trace id, so exported histograms point p99 hunters at a
+/// concrete flight-recorded trace; call it directly only for values derived
+/// from spans (sums, differences), never for a separately timed interval.
 pub fn observe_ns_traced(name: &'static str, ns: u64, trace_id: u64) {
     if !is_enabled() {
         return;
     }
     lock().histograms.entry(name).or_default().observe_traced(ns, trace_id);
-}
-
-/// Record a [`std::time::Duration`] into a named histogram.
-pub fn observe_duration(name: &'static str, d: std::time::Duration) {
-    observe_ns(name, d.as_nanos().min(u128::from(u64::MAX)) as u64);
 }
 
 /// Exactly merge a thread-local histogram into the named global one.
@@ -476,13 +468,7 @@ pub fn snapshot() -> MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Tests share the process-global registry; serialize the ones that
-    /// reset or toggle it.
-    fn test_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
+    use crate::test_lock;
 
     #[test]
     fn bucket_bounds_roundtrip_every_index() {
@@ -552,7 +538,7 @@ mod tests {
         reset();
         counter_add("test.off_counter", 1);
         gauge_set("test.off_gauge", 1.0);
-        observe_ns("test.off_hist", 100);
+        observe_ns_traced("test.off_hist", 100, 0);
         let snap = snapshot();
         set_enabled(true);
         assert!(snap.counter("test.off_counter").is_none());
@@ -571,7 +557,7 @@ mod tests {
         gauge_set("test.gauge", 1.5);
         gauge_set("test.gauge", 2.5);
         for ns in [10u64, 20, 30] {
-            observe_ns("test.hist", ns);
+            observe_ns_traced("test.hist", ns, 0);
         }
         let snap = snapshot();
         reset();
@@ -598,7 +584,7 @@ mod tests {
             for t in 0..4u64 {
                 s.spawn(move || {
                     for i in 0..50u64 {
-                        observe_ns("test.threaded", t * 1000 + i * 13);
+                        observe_ns_traced("test.threaded", t * 1000 + i * 13, 0);
                         counter_add("test.threaded_total", 1);
                     }
                 });
@@ -667,7 +653,7 @@ mod tests {
         let _l = test_lock();
         set_enabled(true);
         reset();
-        observe_ns("test.exemplar_hist", 10);
+        observe_ns_traced("test.exemplar_hist", 10, 0);
         observe_ns_traced("test.exemplar_hist", 123_456, 42);
         let snap = snapshot();
         reset();

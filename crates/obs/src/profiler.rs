@@ -1,23 +1,25 @@
 //! Process-global op/phase profiler.
 //!
-//! A scope is `(name, kind)`; every completed scope adds one call, its wall
-//! time, and its FLOP estimate to the registry under that key. The registry
-//! is a `Mutex<HashMap>` shared by all threads — data-parallel training
-//! workers and intra-op kernel threads record into the same table.
+//! One of the sinks a [`Span`](crate::span::Span) feeds: a span opened with
+//! [`Span::profile`](crate::span::Span::profile) or
+//! [`Span::phase`](crate::span::Span::phase) is keyed `(name, kind)`, and its
+//! close adds one call, its wall time, and its FLOP estimate to the registry
+//! under that key. The registry is a `Mutex<HashMap>` shared by all threads
+//! — data-parallel training workers and intra-op kernel threads record into
+//! the same table.
 //!
-//! The profiler is **off by default**. When off, [`scope`] costs one relaxed
-//! atomic load and returns `None`, so instrumented hot paths stay hot; no
-//! instrumentation path ever reads or writes tensor data, so enabling the
-//! profiler cannot perturb numerics (locked in by
+//! The profiler is **off by default**. When off, a profiler span costs one
+//! relaxed atomic load and reads no clock, so instrumented hot paths stay
+//! hot; no instrumentation path ever reads or writes tensor data, so
+//! enabling the profiler cannot perturb numerics (locked in by
 //! `crates/core/tests/profiler_invariance.rs`).
 
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
-use std::time::Instant;
 
-/// What a recorded scope measured.
+/// What a profiled span measured.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ScopeKind {
     /// The forward computation of one tensor op.
@@ -62,7 +64,7 @@ pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
 
-/// Whether scopes currently record. A single relaxed load — this is the
+/// Whether profiler spans currently record. A single relaxed load — this is the
 /// entire cost of instrumentation on the disabled path.
 #[inline]
 pub fn is_enabled() -> bool {
@@ -74,50 +76,13 @@ pub fn reset() {
     registry_lock().clear();
 }
 
-/// Add one completed measurement to the registry.
-pub fn record(name: &'static str, kind: ScopeKind, ns: u64, flops: u64) {
+/// Add one completed measurement to the registry (the span close sink).
+pub(crate) fn record(name: &'static str, kind: ScopeKind, ns: u64, flops: u64) {
     let mut reg = registry_lock();
     let stat = reg.entry((name, kind)).or_default();
     stat.calls += 1;
     stat.total_ns += ns;
     stat.flops += flops;
-}
-
-/// RAII measurement: created by [`scope`], records on drop.
-#[must_use = "dropping the scope immediately records a ~0ns measurement"]
-pub struct Scope {
-    name: &'static str,
-    kind: ScopeKind,
-    flops: u64,
-    start: Instant,
-}
-
-impl Drop for Scope {
-    fn drop(&mut self) {
-        record(self.name, self.kind, self.start.elapsed().as_nanos() as u64, self.flops);
-    }
-}
-
-/// Start a measurement of `kind`; `None` (and no further cost) when the
-/// profiler is disabled.
-#[inline]
-pub fn scope_kind(name: &'static str, kind: ScopeKind, flops: u64) -> Option<Scope> {
-    if !is_enabled() {
-        return None;
-    }
-    Some(Scope { name, kind, flops, start: Instant::now() })
-}
-
-/// Start a [`ScopeKind::Forward`] measurement.
-#[inline]
-pub fn scope(name: &'static str, flops: u64) -> Option<Scope> {
-    scope_kind(name, ScopeKind::Forward, flops)
-}
-
-/// Start a [`ScopeKind::Phase`] measurement (no FLOP estimate).
-#[inline]
-pub fn phase(name: &'static str) -> Option<Scope> {
-    scope_kind(name, ScopeKind::Phase, 0)
 }
 
 /// One aggregated registry row, serializable into `PROFILE_ops.json`.
@@ -162,7 +127,7 @@ impl OpRecord {
 }
 
 /// Copy of the registry, sorted by `(name, kind)`. The ordering is a
-/// function of *which* scopes ran, never of how long they took, so two runs
+/// function of *which* spans ran, never of how long they took, so two runs
 /// of the same workload produce identically ordered `PROFILE_ops.json`
 /// files and `bench_diff` sees real deltas instead of row shuffles.
 /// Consumers that want a "top by time" view (the `profile` bin's table)
@@ -179,7 +144,7 @@ pub fn snapshot() -> Vec<OpRecord> {
     rows
 }
 
-/// Sum of recorded time over every scope, in nanoseconds. Scopes are
+/// Sum of recorded time over every span, in nanoseconds. Spans are
 /// disjoint by construction (ops never nest; phases wrap only non-op work),
 /// so this is comparable against a wall-clock measurement of the same span.
 pub fn total_ns() -> u64 {
@@ -189,44 +154,7 @@ pub fn total_ns() -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Tests share the process-global registry; serialize the ones that
-    /// reset or toggle it.
-    fn test_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    #[test]
-    fn disabled_scope_is_none_and_records_nothing() {
-        let _l = test_lock();
-        set_enabled(false);
-        reset();
-        assert!(scope("test.off", 10).is_none());
-        assert!(snapshot().is_empty());
-    }
-
-    #[test]
-    fn enabled_scope_accumulates_calls_time_flops() {
-        let _l = test_lock();
-        reset();
-        set_enabled(true);
-        for _ in 0..3 {
-            let _s = scope("test.op_a", 100);
-        }
-        {
-            let _s = scope_kind("test.op_a", ScopeKind::Backward, 200);
-        }
-        set_enabled(false);
-        let snap = snapshot();
-        let fwd = snap.iter().find(|r| r.name == "test.op_a" && r.kind == "forward").unwrap();
-        assert_eq!(fwd.calls, 3);
-        assert_eq!(fwd.flops, 300);
-        let bwd = snap.iter().find(|r| r.name == "test.op_a" && r.kind == "backward").unwrap();
-        assert_eq!(bwd.calls, 1);
-        assert_eq!(bwd.flops, 200);
-        reset();
-    }
+    use crate::test_lock;
 
     #[test]
     fn snapshot_order_is_deterministic_name_then_kind() {

@@ -46,9 +46,12 @@
 //! relaxed atomic load ([`is_enabled`]); no tracing path ever reads or
 //! writes tensor data, so enabling it cannot perturb numerics (locked in by
 //! `crates/serve/tests/trace_invariance.rs`). Enabled, a span costs one
-//! `Instant` read at open and a mutex push at close — per *stage*, not per
-//! op.
+//! clock read at open and a mutex push at close — per *stage*, not per
+//! op. Spans are [`crate::span::Span`]s: the same close that lands a span
+//! in the ring also feeds the stage's histogram, so a trace and a metric
+//! always report the same interval.
 
+use crate::span::Span;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -121,11 +124,6 @@ impl TraceCtx {
     pub fn trace_id(&self) -> u64 {
         self.trace
     }
-
-    /// The span id new child spans will be parented under.
-    pub fn parent_span(&self) -> u64 {
-        self.parent
-    }
 }
 
 impl Default for TraceCtx {
@@ -147,13 +145,6 @@ pub fn current() -> TraceCtx {
         return TraceCtx::disabled();
     }
     STACK.with(|s| s.borrow().last().copied().unwrap_or_else(TraceCtx::disabled))
-}
-
-/// The ambient trace id on this thread (0 when none) — the value metric
-/// exemplars record next to a histogram observation.
-#[inline]
-pub fn current_trace() -> u64 {
-    current().trace
 }
 
 /// RAII ambient attachment created by [`attach`]; pops on drop.
@@ -199,78 +190,95 @@ struct SpanRecord {
     attrs: Vec<(&'static str, u64)>,
 }
 
-/// RAII span created by [`span`] / [`span_under`]; records on drop. While
-/// alive it is the ambient parent on this thread, so spans opened inside it
-/// nest under it.
-#[must_use = "dropping the span immediately records a ~0ns measurement"]
-pub struct SpanScope {
-    active: Option<SpanRecord>,
+/// How a traced [`Span`] sits in its request's tree.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum NodeKind {
+    /// RAII child: the ambient parent on its thread while open.
+    Stacked,
+    /// Child whose interval was measured elsewhere; never ambient.
+    Detached,
+    /// A request's root; closing it completes the trace.
+    Root,
 }
 
-impl SpanScope {
-    const fn inert() -> SpanScope {
-        SpanScope { active: None }
-    }
-
-    /// Attach a numeric attribute (batch id, shard index, sizes...).
-    pub fn attr(mut self, key: &'static str, value: u64) -> SpanScope {
-        if let Some(a) = &mut self.active {
-            a.attrs.push((key, value));
-        }
-        self
-    }
-
-    /// Context parented at this span — for handing to another thread.
-    pub fn ctx(&self) -> TraceCtx {
-        match &self.active {
-            Some(a) => TraceCtx { trace: a.trace, parent: a.span },
-            None => TraceCtx::disabled(),
-        }
-    }
+/// The trace side of a live [`Span`]: its ids and attributes.
+pub(crate) struct Node {
+    trace: u64,
+    span: u64,
+    parent: u64,
+    pub(crate) attrs: Vec<(&'static str, u64)>,
+    kind: NodeKind,
 }
 
-impl Drop for SpanScope {
-    fn drop(&mut self) {
-        let Some(mut rec) = self.active.take() else { return };
-        STACK.with(|s| {
-            s.borrow_mut().pop();
+impl Node {
+    /// Context parented at this node.
+    pub(crate) fn ctx(&self) -> TraceCtx {
+        TraceCtx { trace: self.trace, parent: self.span }
+    }
+
+    /// The span ring sink: store the completed span, or hand a finished
+    /// request to the flight recorder.
+    pub(crate) fn close(self, name: &'static str, start_ns: u64, dur_ns: u64) {
+        if self.kind == NodeKind::Root {
+            return complete_request(self.ctx(), name, start_ns, dur_ns);
+        }
+        if self.kind == NodeKind::Stacked {
+            STACK.with(|s| {
+                s.borrow_mut().pop();
+            });
+        }
+        push_span(SpanRecord {
+            trace: self.trace,
+            span: self.span,
+            parent: self.parent,
+            name,
+            start_ns,
+            dur_ns,
+            thread: thread_ordinal(),
+            attrs: self.attrs,
         });
-        rec.dur_ns = now_ns().saturating_sub(rec.start_ns);
-        push_span(rec);
     }
 }
 
-/// Open a span under the ambient context (see [`attach`]). Inert when
-/// tracing is off or no context is attached on this thread.
-pub fn span(name: &'static str) -> SpanScope {
+/// A new child node under `ctx`, or `None` when tracing is off or `ctx` is
+/// inert.
+fn child(ctx: TraceCtx, kind: NodeKind) -> Option<Node> {
+    (is_enabled() && ctx.is_active()).then(|| Node {
+        trace: ctx.trace,
+        span: NEXT_SPAN.fetch_add(1, Ordering::Relaxed),
+        parent: ctx.parent,
+        attrs: Vec::new(),
+        kind,
+    })
+}
+
+/// Open a span under the ambient context (see [`attach`]). While open it is
+/// the ambient parent on this thread, so spans opened inside it nest under
+/// it. Trace-inert when tracing is off or no context is attached; other
+/// sinks can still be attached (see [`Span`]).
+pub fn span(name: &'static str) -> Span {
     span_under(current(), name)
 }
 
 /// Open a span under an explicit parent context.
-pub fn span_under(ctx: TraceCtx, name: &'static str) -> SpanScope {
-    if !is_enabled() || !ctx.is_active() {
-        return SpanScope::inert();
+pub fn span_under(ctx: TraceCtx, name: &'static str) -> Span {
+    let node = child(ctx, NodeKind::Stacked);
+    if let Some(n) = &node {
+        STACK.with(|s| s.borrow_mut().push(n.ctx()));
     }
-    let id = NEXT_SPAN.fetch_add(1, Ordering::Relaxed);
-    STACK.with(|s| s.borrow_mut().push(TraceCtx { trace: ctx.trace, parent: id }));
-    SpanScope {
-        active: Some(SpanRecord {
-            trace: ctx.trace,
-            span: id,
-            parent: ctx.parent,
-            name,
-            start_ns: now_ns(),
-            dur_ns: 0,
-            thread: thread_ordinal(),
-            attrs: Vec::new(),
-        }),
-    }
+    Span::traced(name, node)
 }
 
-/// Record a span whose interval was measured externally — how the engine
-/// injects the queue-wait span (start = enqueue time, measured at drain)
-/// and gives every request in an admission batch a span covering the one
-/// shared `embed_nograd` forward.
+/// A span under `ctx` whose interval began at `start_ns` (trace clock),
+/// measured elsewhere — how the engine gives each request a queue-wait span
+/// starting at its enqueue stamp. Never ambient.
+pub fn span_since(ctx: TraceCtx, name: &'static str, start_ns: u64) -> Span {
+    Span::since(name, start_ns, child(ctx, NodeKind::Detached))
+}
+
+/// Record a span whose whole interval was measured externally — how every
+/// request in an admission batch gets a span covering the one shared
+/// `embed_nograd` forward.
 pub fn record_span(
     ctx: TraceCtx,
     name: &'static str,
@@ -278,79 +286,32 @@ pub fn record_span(
     dur_ns: u64,
     attrs: &[(&'static str, u64)],
 ) {
-    if !is_enabled() || !ctx.is_active() {
-        return;
-    }
-    push_span(SpanRecord {
-        trace: ctx.trace,
-        span: NEXT_SPAN.fetch_add(1, Ordering::Relaxed),
-        parent: ctx.parent,
-        name,
-        start_ns,
-        dur_ns,
-        thread: thread_ordinal(),
-        attrs: attrs.to_vec(),
-    });
+    let span = attrs.iter().fold(span_since(ctx, name, start_ns), |s, &(k, v)| s.attr(k, v));
+    span.finish_at(start_ns.saturating_add(dur_ns));
 }
 
 // ---- request lifecycle -----------------------------------------------------
 
-/// A request's root span, created caller-side by [`request_begin`] and
-/// finished (explicitly or on drop) when the reply arrives. Finishing
-/// records the root span and hands the whole trace to the flight recorder.
-#[must_use = "dropping the request span finishes the trace immediately"]
-pub struct RequestSpan {
-    active: Option<(u64, u64, &'static str, u64)>, // (trace, root span, name, start)
-}
-
-impl RequestSpan {
-    /// The context child work should record under (parent = root span).
-    pub fn ctx(&self) -> TraceCtx {
-        match self.active {
-            Some((trace, root, _, _)) => TraceCtx { trace, parent: root },
-            None => TraceCtx::disabled(),
-        }
-    }
-
-    /// The trace id (0 when tracing was off at begin).
-    pub fn trace_id(&self) -> u64 {
-        self.active.map(|(t, _, _, _)| t).unwrap_or(0)
-    }
-
-    /// Finish the request: record the root span and run tail-based capture.
-    pub fn finish(mut self) {
-        self.finish_inner();
-    }
-
-    fn finish_inner(&mut self) {
-        let Some((trace, root, name, start_ns)) = self.active.take() else { return };
-        let total_ns = now_ns().saturating_sub(start_ns);
-        complete_request(TraceCtx { trace, parent: root }, name, start_ns, total_ns);
-    }
-}
-
-impl Drop for RequestSpan {
-    fn drop(&mut self) {
-        self.finish_inner();
-    }
-}
-
-/// Start a request trace. Inert (no ids allocated, near-zero cost) when
-/// tracing is disabled.
-pub fn request_begin(name: &'static str) -> RequestSpan {
+/// Start a request trace: the root [`Span`], created caller-side and
+/// finished (explicitly or on drop) when the reply arrives. Its
+/// [`ctx`](Span::ctx) is what child work records under; closing it records
+/// the root and hands the whole trace to the flight recorder. Inert (no ids
+/// allocated, near-zero cost) when tracing is disabled.
+pub fn request_begin(name: &'static str) -> Span {
     if !is_enabled() {
-        return RequestSpan { active: None };
+        return Span::new(name);
     }
     let trace = NEXT_TRACE.fetch_add(1, Ordering::Relaxed);
-    let root = NEXT_SPAN.fetch_add(1, Ordering::Relaxed);
+    let span = NEXT_SPAN.fetch_add(1, Ordering::Relaxed);
     lock().started += 1;
-    RequestSpan { active: Some((trace, root, name, now_ns())) }
+    Span::traced(name, Some(Node { trace, span, parent: 0, attrs: Vec::new(), kind: NodeKind::Root }))
 }
 
 /// Complete a request trace explicitly: `ctx` must be the root context
-/// (trace id + root span id, as returned by [`RequestSpan::ctx`]).
-/// [`RequestSpan::finish`] calls this; it is public so tests and replay
-/// tooling can drive the flight recorder with synthetic totals.
+/// (trace id + root span id, as returned by the root span's
+/// [`ctx`](Span::ctx)). Closing a root span calls this; it is public so
+/// tests and replay tooling can drive the flight recorder with synthetic
+/// totals.
 pub fn complete_request(ctx: TraceCtx, name: &'static str, start_ns: u64, total_ns: u64) {
     if !ctx.is_active() {
         return;
@@ -719,13 +680,7 @@ pub fn dump_jsonl() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Tests share the process-global recorder; serialize the ones that
-    /// reset or toggle it.
-    fn test_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
+    use crate::test_lock;
 
     fn capture_all() -> TraceConfig {
         TraceConfig { span_ring: 256, flight: 32, slow_threshold_ns: 0, sample_every: 1 }
@@ -742,7 +697,7 @@ mod tests {
         {
             let _a = attach(req.ctx());
             let _s = span("test.child");
-            assert_eq!(current_trace(), 0);
+            assert_eq!(current().trace_id(), 0);
         }
         req.finish();
         let st = stats();

@@ -25,7 +25,6 @@ use std::collections::HashMap;
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
 use tmn_core::{ModelConfig, ModelKind, PairModel};
 use tmn_eval::{encode_all, EmbeddingStore};
 use tmn_store::CorpusFile;
@@ -73,7 +72,7 @@ enum Req {
 /// What actually crosses the admission queue: the request plus its trace
 /// context and enqueue timestamp. The context is plain `Copy` data, so a
 /// caller's trace survives the hop onto the engine thread; the timestamp
-/// feeds the queue-wait histogram and span at drain time.
+/// opens the queue-wait span that closes at drain time.
 struct Envelope {
     ctx: TraceCtx,
     enq_ns: u64,
@@ -172,8 +171,11 @@ impl ServeHandle {
     }
 
     /// Insert (or re-insert) trajectory `id`. A re-insert replaces the
-    /// stored embedding and invalidates the cached one.
+    /// stored embedding and invalidates the cached one. Empty trajectories
+    /// and non-finite coordinates are refused with
+    /// [`ServeError::InvalidInput`], as in every call that carries points.
     pub fn insert(&self, id: u64, traj: Trajectory) -> Result<(), ServeError> {
+        validate(traj.points())?;
         self.call("serve.insert", |reply| Req::Insert { id, traj, reply })
     }
 
@@ -185,6 +187,7 @@ impl ServeHandle {
     /// Top-`k` most similar corpus trajectories to an ad-hoc query
     /// trajectory, as `(id, embedding distance)` ascending.
     pub fn query(&self, traj: Trajectory, k: usize) -> Result<Vec<(u64, f64)>, ServeError> {
+        validate(traj.points())?;
         self.call("serve.query", |reply| Req::Query { traj, k, reply })
     }
 
@@ -195,6 +198,7 @@ impl ServeHandle {
         trajs: Vec<Trajectory>,
         k: usize,
     ) -> Result<Vec<Vec<(u64, f64)>>, ServeError> {
+        trajs.iter().try_for_each(|t| validate(t.points()))?;
         self.call("serve.query_batch", |reply| Req::QueryBatch { trajs, k, reply })
     }
 
@@ -216,6 +220,7 @@ impl ServeHandle {
     /// Fails with [`ServeError::DegradedShard`] — before any model work —
     /// when the id's shard is fenced off.
     pub fn append_point(&self, id: u64, point: Point) -> Result<AppendOutcome, ServeError> {
+        validate(std::slice::from_ref(&point))?;
         self.call("serve.append", |reply| Req::AppendPoint { id, point, reply })
     }
 
@@ -245,6 +250,20 @@ impl ServeHandle {
     /// used by stress tests and by callers that precompute embeddings).
     pub fn shards(&self) -> &Arc<ShardSet> {
         &self.shards
+    }
+}
+
+/// Refuse what the model cannot embed before it reaches the engine thread:
+/// an empty trajectory would panic the batch builder there (taking the
+/// engine down for every handle), and a non-finite coordinate would enter
+/// the index as a NaN embedding that corrupts later rankings.
+fn validate(points: &[Point]) -> Result<(), ServeError> {
+    if points.is_empty() {
+        return Err(ServeError::InvalidInput("empty trajectory".into()));
+    }
+    match points.iter().position(|p| !(p.lon.is_finite() && p.lat.is_finite())) {
+        Some(i) => Err(ServeError::InvalidInput(format!("non-finite coordinate at point {i}"))),
+        None => Ok(()),
     }
 }
 
@@ -445,6 +464,7 @@ fn run(
     // Live per-id stream states — the resumable model side of the warm
     // cache (which holds the *indexed* embedding for the same id).
     let mut streams: HashMap<u64, tmn_core::models::ModelStream> = HashMap::new();
+    let can_stream = model.stream_begin().is_some();
     let mut batch_id: u64 = 0;
     loop {
         // Block for one request, then drain the admission window.
@@ -458,22 +478,16 @@ fn run(
         }
 
         // Queue accounting at the drain boundary: depth is how many
-        // requests this admission window swallowed, wait is per-request
-        // enqueue→drain time. Each traced request gets a queue-wait span
-        // whose interval was measured here (start = its enqueue stamp).
+        // requests this admission window swallowed; each request's
+        // queue-wait span runs from its enqueue stamp to its close here.
         batch_id = batch_id.wrapping_add(1);
-        let drained_ns = trace::now_ns();
         metrics::gauge_set(SERVE_QUEUE_DEPTH, batch.len() as f64);
         for env in &batch {
-            let wait = drained_ns.saturating_sub(env.enq_ns);
-            metrics::observe_ns_traced(SERVE_QUEUE_WAIT_NS, wait, env.ctx.trace_id());
-            trace::record_span(
-                env.ctx,
-                "serve.queue_wait",
-                env.enq_ns,
-                wait,
-                &[("batch_id", batch_id), ("batch_size", batch.len() as u64)],
-            );
+            trace::span_since(env.ctx, "serve.queue_wait", env.enq_ns)
+                .attr("batch_id", batch_id)
+                .attr("batch_size", batch.len() as u64)
+                .histogram(SERVE_QUEUE_WAIT_NS)
+                .finish();
         }
 
         // One fused forward for every trajectory the batch needs embedded.
@@ -510,35 +524,31 @@ fn run(
             Vec::new()
         } else {
             metrics::gauge_set(SERVE_BATCH_SIZE, trajs.len() as f64);
-            // The forward is shared; attribute its exemplar to the first
-            // traced requester, then give *every* contributing traced
-            // request a span covering the same interval — each request's
-            // tree shows the full embed cost it waited on.
-            let embed_ctx = batch
-                .iter()
-                .enumerate()
-                .find(|(i, env)| contributed[*i] > 0 && env.ctx.is_active())
-                .map(|(_, env)| env.ctx)
-                .unwrap_or_default();
-            let t0 = trace::now_ns();
-            let out = {
-                let _ambient = trace::attach(embed_ctx);
-                embed(model.as_ref(), &trajs)
+            // The forward is shared: one serve.embed span times it, lands in
+            // the first traced contributor's tree and carries the histogram
+            // exemplar. Every other traced contributor gets a span over the
+            // same interval, so each request's tree shows the full embed
+            // cost it waited on.
+            let first =
+                (0..batch.len()).find(|&i| contributed[i] > 0 && batch[i].ctx.is_active());
+            let attrs = |i: usize| {
+                [
+                    ("batch_id", batch_id),
+                    ("embed_batch", trajs.len() as u64),
+                    ("trajs", contributed[i] as u64),
+                ]
             };
-            let dur = trace::now_ns().saturating_sub(t0);
+            let ctx = first.map_or_else(TraceCtx::disabled, |i| batch[i].ctx);
+            let span = attrs(first.unwrap_or(0))
+                .into_iter()
+                .fold(trace::span_under(ctx, "serve.embed"), |s, (k, v)| s.attr(k, v))
+                .histogram(tmn_eval::QUERY_EMBED_NS);
+            let start = span.start_ns().expect("histogram spans are timed");
+            let out = encode_all(model.as_ref(), &trajs, trajs.len());
+            let dur = span.finish();
             for (i, env) in batch.iter().enumerate() {
-                if contributed[i] > 0 {
-                    trace::record_span(
-                        env.ctx,
-                        "serve.embed",
-                        t0,
-                        dur,
-                        &[
-                            ("batch_id", batch_id),
-                            ("embed_batch", trajs.len() as u64),
-                            ("trajs", contributed[i] as u64),
-                        ],
-                    );
+                if contributed[i] > 0 && Some(i) != first {
+                    trace::record_span(env.ctx, "serve.embed", start, dur, &attrs(i));
                 }
             }
             out
@@ -606,7 +616,6 @@ fn run(
                     let _ = reply.send(shards.query(&emb, k));
                 }
                 Req::AppendPoint { id, point, reply } => {
-                    let t0 = Instant::now();
                     let shard = shards.shard_of(id);
                     // Degraded check before any model work: a refused
                     // append consumes nothing, so the caller can retry the
@@ -615,27 +624,25 @@ fn run(
                         let _ = reply.send(Err(ServeError::DegradedShard(shard)));
                         continue;
                     }
+                    if !can_stream {
+                        let _ = reply.send(Err(ServeError::NoStreamPath(model.name())));
+                        continue;
+                    }
+                    let append = trace::span("stream.append").histogram(APPEND_NS);
                     let emb = {
                         let _step = trace::span("stream.step");
-                        let stream = match streams.entry(id) {
-                            std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                            std::collections::hash_map::Entry::Vacant(slot) => {
-                                let Some(mut s) = model.stream_begin() else {
-                                    let _ =
-                                        reply.send(Err(ServeError::NoStreamPath(model.name())));
-                                    continue;
-                                };
-                                // Resume an id inserted whole (or warm-loaded):
-                                // replay its stored points through the stream,
-                                // once, O(len).
-                                if let Some(existing) = corpus.get(&id) {
-                                    for &p in existing.points() {
-                                        model.embed_incremental(&mut s, p);
-                                    }
+                        let stream = streams.entry(id).or_insert_with(|| {
+                            let mut s = model.stream_begin().expect("checked at engine start");
+                            // Resume an id inserted whole (or warm-loaded):
+                            // replay its stored points through the stream,
+                            // once, O(len).
+                            if let Some(existing) = corpus.get(&id) {
+                                for &p in existing.points() {
+                                    model.embed_incremental(&mut s, p);
                                 }
-                                slot.insert(s)
                             }
-                        };
+                            s
+                        });
                         model.embed_incremental(stream, point)
                     };
                     let entry = corpus.entry(id).or_default();
@@ -667,11 +674,7 @@ fn run(
                         Ok(AppendOutcome { len, reindexed: false, delta })
                     };
                     metrics::counter_add(STREAM_APPENDS_TOTAL, 1);
-                    metrics::observe_ns_traced(
-                        APPEND_NS,
-                        t0.elapsed().as_nanos() as u64,
-                        trace::current_trace(),
-                    );
+                    append.finish();
                     let _ = reply.send(res);
                 }
                 Req::QueryWindow { id, last_k, k, reply } => {
@@ -680,11 +683,7 @@ fn run(
                     let res = match corpus.get(&id) {
                         None => Err(ServeError::UnknownId(id)),
                         Some(traj) => {
-                            let window = traj.last_window(last_k.max(1));
-                            let emb = {
-                                let _embed = trace::span("serve.embed");
-                                embed(model.as_ref(), std::slice::from_ref(&window)).remove(0)
-                            };
+                            let emb = embed_one(model.as_ref(), &traj.last_window(last_k.max(1)));
                             metrics::counter_add(SERVE_QUERIES_TOTAL, 1);
                             shards.query(&emb, k)
                         }
@@ -735,18 +734,12 @@ fn l2(a: &[f32], b: &[f32]) -> f64 {
         .sqrt()
 }
 
-/// Timed wrapper over the fused tape-free forward. The observation carries
-/// the ambient trace id, so the `query_embed_ns` exemplar points at
-/// whichever traced request paid for the slowest-bucket forward.
-fn embed(model: &dyn PairModel, trajs: &[Trajectory]) -> Vec<Vec<f32>> {
-    let t0 = Instant::now();
-    let out = encode_all(model, trajs, trajs.len());
-    metrics::observe_ns_traced(
-        tmn_eval::QUERY_EMBED_NS,
-        t0.elapsed().as_nanos() as u64,
-        trace::current_trace(),
-    );
-    out
+/// One trajectory through the tape-free forward, timed by a `serve.embed`
+/// span under the ambient request: it feeds `query_embed_ns` with that
+/// request's trace id as exemplar.
+fn embed_one(model: &dyn PairModel, traj: &Trajectory) -> Vec<f32> {
+    let _span = trace::span("serve.embed").histogram(tmn_eval::QUERY_EMBED_NS);
+    encode_all(model, std::slice::from_ref(traj), 1).remove(0)
 }
 
 /// Resolve the embedding for a corpus id: warm cache when the checksum
@@ -766,10 +759,7 @@ fn cached_embedding(
         None => {}
     }
     let traj = corpus.get(&id).ok_or(ServeError::UnknownId(id))?;
-    let emb = {
-        let _embed = trace::span("serve.embed");
-        embed(model, std::slice::from_ref(traj)).remove(0)
-    };
+    let emb = embed_one(model, traj);
     cache.insert(id, CacheEntry::new(emb.clone()));
     Ok(emb)
 }
@@ -967,6 +957,8 @@ mod tests {
         // target shard was fenced off. The empty trajectory is the tripwire
         // — embedding it panics in SideBatch::build, so if the engine
         // survives and answers DegradedShard, no embedding was attempted.
+        // It goes through `call` directly: the handle's input validation
+        // would refuse it before it reached the engine thread.
         let engine = engine();
         let h = engine.handle();
         let victim = engine.shards().shard_of(3);
@@ -974,7 +966,13 @@ mod tests {
         let healthy = (0..64u64).find(|&id| engine.shards().shard_of(id) != victim).unwrap();
         h.insert(healthy, traj(healthy, 8)).unwrap();
         engine.shards().fault_poison(victim);
-        assert_eq!(h.insert(3, Trajectory::default()), Err(ServeError::DegradedShard(victim)));
+        let tripwire = h.call("serve.insert", |reply| Req::Insert {
+            id: 3,
+            traj: Trajectory::default(),
+            reply,
+        });
+        assert_eq!(tripwire, Err(ServeError::DegradedShard(victim)));
+        assert_eq!(h.status().unwrap().corpus, 1, "a refused insert must not reach the corpus");
         // Appends check the shard before any model work too: no stream
         // state may be created for a refused append.
         let streams_before = h.status().unwrap().streams;

@@ -102,6 +102,9 @@ pub enum ServeError {
     /// An encoded weight buffer handed to `start_with_params` failed to
     /// load into the requested model (wrong shapes, names, or corruption).
     BadWeights(String),
+    /// The request carries points the model cannot embed (an empty
+    /// trajectory, a non-finite coordinate); refused before it is enqueued.
+    InvalidInput(String),
     /// The engine thread is gone (shut down or crashed).
     EngineDown,
 }
@@ -121,6 +124,7 @@ impl std::fmt::Display for ServeError {
                 write!(f, "{name} cannot embed incrementally; append_point is unavailable")
             }
             ServeError::BadWeights(why) => write!(f, "weight buffer rejected: {why}"),
+            ServeError::InvalidInput(why) => write!(f, "invalid input: {why}"),
             ServeError::EngineDown => write!(f, "serving engine is not running"),
         }
     }

@@ -25,7 +25,6 @@ use serde::Serialize;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
-use std::time::Instant;
 use tmn_eval::embedding_distance;
 use tmn_index::{Hnsw, HnswConfig, ShardRouter};
 use tmn_obs::metrics;
@@ -366,31 +365,25 @@ impl ShardSet {
         let shortlist = self.cfg.shortlist.max(k);
         let mut candidates = Vec::new();
         let mut epochs = Vec::with_capacity(self.shards.len());
-        let mut index_ns = 0u64;
-        let t_rank = Instant::now();
         // Per-shard knn and rerank each get their own span under the
-        // scatter-gather; the serve.search span groups them and the final
-        // merge in the request's trace. `index_ns` (the query_index_ns
-        // histogram) keeps its historical meaning: knn + rerank together,
-        // i.e. everything spent inside shard read critical sections.
-        let search_span = trace::span("serve.search").attr("shards", self.shards.len() as u64);
+        // serve.search span, which groups them with the final merge. The
+        // query_index_ns histogram keeps its historical meaning — knn +
+        // rerank, everything spent inside shard read critical sections — as
+        // the sum of those spans; query_rank_ns is the rest of serve.search.
+        let search = trace::span("serve.search").attr("shards", self.shards.len() as u64).timed();
+        let mut index_ns = 0u64;
         for s in 0..self.shards.len() {
             let Some(inner) = self.read_shard(s) else { continue };
             let start = inner.epoch;
-            let t0 = Instant::now();
-            let ints = {
-                let _knn = trace::span("shard.knn").attr("shard", s as u64);
-                inner.shortlist_ints(q, shortlist)
-            };
-            let mut shard_hits = {
-                let _rerank =
-                    trace::span("shard.rerank").attr("shard", s as u64).attr(
-                        "shortlist",
-                        ints.len() as u64,
-                    );
-                inner.rerank(q, &ints)
-            };
-            index_ns += t0.elapsed().as_nanos() as u64;
+            let knn = trace::span("shard.knn").attr("shard", s as u64).timed();
+            let ints = inner.shortlist_ints(q, shortlist);
+            index_ns += knn.finish();
+            let rerank = trace::span("shard.rerank")
+                .attr("shard", s as u64)
+                .attr("shortlist", ints.len() as u64)
+                .timed();
+            let mut shard_hits = inner.rerank(q, &ints);
+            index_ns += rerank.finish();
             candidates.append(&mut shard_hits);
             epochs.push(EpochObservation { shard: s, start, end: inner.epoch });
         }
@@ -398,9 +391,8 @@ impl ShardSet {
             let _merge = trace::span("serve.merge").attr("candidates", candidates.len() as u64);
             merge_topk64(candidates, k)
         };
-        drop(search_span);
-        let total_ns = t_rank.elapsed().as_nanos() as u64;
-        let trace_id = trace::current_trace();
+        let trace_id = search.trace_id();
+        let total_ns = search.finish();
         metrics::observe_ns_traced(tmn_eval::QUERY_INDEX_NS, index_ns, trace_id);
         metrics::observe_ns_traced(
             tmn_eval::QUERY_RANK_NS,

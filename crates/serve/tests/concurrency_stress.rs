@@ -19,7 +19,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use tmn_core::{ModelConfig, ModelKind};
 use tmn_serve::{ServeConfig, ServeEngine, ShardSet, ShardSetConfig};
 use tmn_traj::{Point, Trajectory};
@@ -99,11 +99,19 @@ fn writers_and_readers_race_without_losing_state() {
         ShardSetConfig { shards: 3, shortlist: 48, ..Default::default() },
     ));
     let done = Arc::new(AtomicBool::new(false));
+    // Every thread starts together, so the readers overlap the writers even
+    // when a fast build could finish every write before a reader is first
+    // scheduled.
+    let start = Arc::new(Barrier::new(writers + readers));
 
     let writer_handles: Vec<_> = (0..writers as u64)
         .map(|w| {
             let set = Arc::clone(&set);
-            std::thread::spawn(move || run_writer(&set, w, seed))
+            let start = Arc::clone(&start);
+            std::thread::spawn(move || {
+                start.wait();
+                run_writer(&set, w, seed)
+            })
         })
         .collect();
 
@@ -111,11 +119,14 @@ fn writers_and_readers_race_without_losing_state() {
         .map(|r| {
             let set = Arc::clone(&set);
             let done = Arc::clone(&done);
+            let start = Arc::clone(&start);
             std::thread::spawn(move || {
                 let mut rng = StdRng::seed_from_u64(seed ^ (r * 104729));
                 let mut last_epoch: HashMap<usize, u64> = HashMap::new();
                 let mut queries = 0usize;
-                while !done.load(Ordering::Relaxed) {
+                start.wait();
+                // At least one query per reader, then until the writers end.
+                while queries == 0 || !done.load(Ordering::Relaxed) {
                     let q: Vec<f32> = (0..DIM).map(|_| rng.gen_range(0.0..1.0)).collect();
                     let (hits, epochs) = set.query_with_epochs(&q, 10).unwrap();
                     for obs in &epochs {

@@ -9,7 +9,10 @@
 //!   served; the engine recomputes it from the corpus via `embed_nograd`,
 //!   repairs the cache, and bumps `serve_cache_corrupt_total`;
 //! - queries racing a shard rebuild (compaction) see before-state or
-//!   after-state, never garbage.
+//!   after-state, never garbage;
+//! - hostile requests (empty trajectories, NaN/±inf coordinates) are
+//!   refused with `ServeError::InvalidInput` before they reach the engine
+//!   thread, which keeps serving unchanged results.
 //!
 //! The metrics registry is process-global and tests share one binary, so
 //! every metrics-sensitive test takes a shared lock (same idiom as
@@ -184,6 +187,44 @@ fn corrupt_cache_entry_is_detected_and_recomputed() {
 }
 
 #[test]
+fn hostile_requests_get_typed_errors_and_the_engine_keeps_serving() {
+    let engine = ServeEngine::start(
+        ModelKind::TmnNm,
+        &ModelConfig { dim: 16, seed: 9 },
+        ServeConfig {
+            shard: ShardSetConfig { shards: 2, shortlist: 32, ..Default::default() },
+            max_batch: 8,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let h = engine.handle();
+    for id in 0..20u64 {
+        h.insert(id, traj(id, 10)).unwrap();
+    }
+    let probe = traj(500, 10);
+    let before = h.query(probe.clone(), 10).unwrap();
+
+    let nan = Trajectory::new(vec![Point::new(0.1, 0.2), Point::new(f64::NAN, 0.3)]);
+    let inf = Trajectory::new(vec![Point::new(f64::INFINITY, 0.2)]);
+    let invalid = |r: Result<_, ServeError>| matches!(r, Err(ServeError::InvalidInput(_)));
+    assert!(invalid(h.query(Trajectory::new(vec![]), 10).map(|_| ())), "empty query");
+    assert!(invalid(h.insert(50, Trajectory::new(vec![]))), "empty insert");
+    assert!(invalid(h.insert(51, nan.clone())), "NaN insert");
+    assert!(invalid(h.query(inf.clone(), 10).map(|_| ())), "inf query");
+    assert!(invalid(h.query_batch(vec![probe.clone(), nan], 10).map(|_| ())), "NaN in a batch");
+    assert!(invalid(h.query_batch(vec![Trajectory::default()], 10).map(|_| ())), "empty in batch");
+    assert!(invalid(h.append_point(52, Point::new(0.1, -f64::INFINITY)).map(|_| ())), "inf append");
+    assert!(invalid(h.append_point(3, Point::new(f64::NAN, f64::NAN)).map(|_| ())), "NaN append");
+
+    // Nothing hostile was stored, and the engine answers exactly as before.
+    let status = h.status().unwrap();
+    assert_eq!((status.corpus, status.streams), (20, 0), "a refused request left state behind");
+    assert_eq!(h.query(probe, 10).unwrap(), before, "top-10 changed after hostile requests");
+    engine.shutdown();
+}
+
+#[test]
 fn queries_race_compaction_without_corruption() {
     let set = Arc::new(populated_set(80, 2));
     // Build up tombstones so compaction has real work to do.
@@ -193,12 +234,14 @@ fn queries_race_compaction_without_corruption() {
     let live: Vec<u64> = (1..80).step_by(2).collect();
 
     let done = Arc::new(AtomicBool::new(false));
+    let started = Arc::new(AtomicBool::new(false));
     let compactor = {
         let set = Arc::clone(&set);
-        let done = Arc::clone(&done);
+        let (done, started) = (Arc::clone(&done), Arc::clone(&started));
         std::thread::spawn(move || {
             let mut rounds = 0usize;
-            while !done.load(Ordering::Relaxed) {
+            while !done.load(Ordering::SeqCst) {
+                started.store(true, Ordering::SeqCst);
                 for s in 0..set.shards() {
                     set.compact_shard(s).unwrap();
                 }
@@ -207,6 +250,12 @@ fn queries_race_compaction_without_corruption() {
             rounds
         })
     };
+    // The readers must overlap the rebuilds: start probing only once the
+    // compactor is running (a fast build can otherwise finish every probe
+    // before the compactor thread is first scheduled).
+    while !started.load(Ordering::SeqCst) {
+        std::thread::yield_now();
+    }
 
     // Readers during the rebuild see exactly the live set, every time.
     for probe in 0..60u64 {

@@ -5,6 +5,7 @@
 //! single-bit flip of a valid file must be rejected (walked exhaustively).
 
 use proptest::prelude::*;
+use std::sync::OnceLock;
 use tmn_store::{
     write_corpus, AlignedBytes, BlockedDistanceMatrix, CorpusView, EmbeddingsView, EmbeddingsWriter,
     StoreError,
@@ -28,30 +29,46 @@ fn trajs(n: usize) -> Vec<Trajectory> {
         .collect()
 }
 
+/// Tests run on parallel threads, and rewriting a shared file while another
+/// test reads it hands that test a half-written image: each image is built
+/// once per process and cloned from there.
+fn cached(cell: &'static OnceLock<Vec<u8>>, build: impl FnOnce() -> Vec<u8>) -> Vec<u8> {
+    cell.get_or_init(build).clone()
+}
+
 /// A small but fully populated corpus file image.
 fn corpus_bytes() -> Vec<u8> {
-    let p = tmpdir().join("fuzz-corpus.tmns");
-    write_corpus(&p, &trajs(7)).unwrap();
-    std::fs::read(&p).unwrap()
+    static IMAGE: OnceLock<Vec<u8>> = OnceLock::new();
+    cached(&IMAGE, || {
+        let p = tmpdir().join("fuzz-corpus.tmns");
+        write_corpus(&p, &trajs(7)).unwrap();
+        std::fs::read(&p).unwrap()
+    })
 }
 
 /// A small embeddings file image.
 fn embeddings_bytes() -> Vec<u8> {
-    let p = tmpdir().join("fuzz-emb.tmns");
-    let mut w = EmbeddingsWriter::create(&p, 3).unwrap();
-    for i in 0..11 {
-        w.push(&[i as f32, -0.5 * i as f32, 2.0]).unwrap();
-    }
-    w.finish().unwrap();
-    std::fs::read(&p).unwrap()
+    static IMAGE: OnceLock<Vec<u8>> = OnceLock::new();
+    cached(&IMAGE, || {
+        let p = tmpdir().join("fuzz-emb.tmns");
+        let mut w = EmbeddingsWriter::create(&p, 3).unwrap();
+        for i in 0..11 {
+            w.push(&[i as f32, -0.5 * i as f32, 2.0]).unwrap();
+        }
+        w.finish().unwrap();
+        std::fs::read(&p).unwrap()
+    })
 }
 
 /// A small tiled ground-truth file image (ragged edge: n=10, tile=4).
 fn tiles_bytes() -> Vec<u8> {
-    let p = tmpdir().join("fuzz-tiles.tmns");
-    BlockedDistanceMatrix::compute(&p, &trajs(10), Metric::Dtw, &MetricParams::default(), 2, 4)
-        .unwrap();
-    std::fs::read(&p).unwrap()
+    static IMAGE: OnceLock<Vec<u8>> = OnceLock::new();
+    cached(&IMAGE, || {
+        let p = tmpdir().join("fuzz-tiles.tmns");
+        BlockedDistanceMatrix::compute(&p, &trajs(10), Metric::Dtw, &MetricParams::default(), 2, 4)
+            .unwrap();
+        std::fs::read(&p).unwrap()
+    })
 }
 
 /// Structural parse + full payload CRC for each decoder, against an

@@ -7,6 +7,9 @@ cd "$(dirname "$0")/.."
 echo "== build (release) =="
 cargo build --release --workspace
 
+echo "== build the repository benchmark (its own workspace, built against these crates) =="
+cargo build --release --offline --manifest-path tmnbench/Cargo.toml
+
 echo "== test =="
 cargo test -q --workspace
 

@@ -61,8 +61,8 @@ pub mod prelude {
         KdSampler, Normalizer, RankSampler, Sampler,
     };
     pub use tmn_eval::{
-        encode_all, evaluate, kendall_tau, predicted_distance_rows,
-        predicted_distance_rows_parallel, spearman, top_k_indices, EmbeddingStore, Evaluation,
+        encode_all, evaluate, kendall_tau, predicted_distance_rows, spearman, top_k_indices,
+        EmbeddingStore, Evaluation,
     };
     pub use tmn_index::{Hnsw, HnswConfig, KdTree};
     pub use tmn_traj::{
