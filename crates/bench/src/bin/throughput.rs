@@ -248,11 +248,15 @@ fn bench_inference(ds: &Dataset, dim: usize) -> InferRow {
     let pct = |p: usize| samples[(samples.len() * p / 100).min(samples.len() - 1)];
 
     let emb = encode_all(model.as_ref(), trajs, 16);
-    let store = EmbeddingStore::from_vectors(&emb);
-    let mut rng = StdRng::seed_from_u64(7);
-    let index_bytes = store.build_hnsw_quantized(HnswConfig::default(), &mut rng).memory_bytes();
-    let mut rng = StdRng::seed_from_u64(7);
-    let index_f32_bytes = store.build_hnsw(HnswConfig::default(), &mut rng).memory_bytes();
+    let vector_bytes = |mut index: Hnsw| {
+        let mut rng = StdRng::seed_from_u64(7);
+        for v in &emb {
+            index.insert(v, &mut rng);
+        }
+        index.memory_bytes()
+    };
+    let index_bytes = vector_bytes(Hnsw::new_quantized(dim, HnswConfig::default()));
+    let index_f32_bytes = vector_bytes(Hnsw::new(dim, HnswConfig::default()));
 
     InferRow {
         simd_dispatch: tmn_autograd::simd::dispatch_name().to_string(),

@@ -1,5 +1,7 @@
 //! Persistent embedding stores: hold the encoded database, serialize it
-//! compactly, and search it (brute force or via HNSW).
+//! compactly, and search it by exact linear scan. Approximate search
+//! (sharded, int8-quantized, exact-reranked HNSW) is `tmn-serve`'s
+//! `ShardSet`, which bulk-loads from a store (`ShardSet::warm_load`).
 //!
 //! Two persistence paths share one search API:
 //!
@@ -15,7 +17,6 @@
 //! equal contents answer every query identically.
 
 use std::path::Path;
-use tmn_index::{AnnIndex, Hnsw, HnswConfig, ShardedHnsw};
 use tmn_store::{EmbeddingsFile, EmbeddingsWriter};
 
 const MAGIC: &[u8; 4] = b"TMNE";
@@ -139,90 +140,6 @@ impl EmbeddingStore {
         all
     }
 
-    /// Build an HNSW index over the stored embeddings.
-    pub fn build_hnsw(&self, config: HnswConfig, rng: &mut impl rand::Rng) -> Hnsw {
-        let mut index = Hnsw::new(self.dim.max(1), config);
-        for i in 0..self.len() {
-            index.insert(self.get(i), rng);
-        }
-        index
-    }
-
-    /// Build an int8-quantized HNSW index over the stored embeddings
-    /// (≈ (d+2)/(4d) of the f32 vector bytes). Pair with [`knn_rerank`]
-    /// (which reranks against this store's exact f32 embeddings) to keep
-    /// top-k quality unchanged.
-    ///
-    /// [`knn_rerank`]: EmbeddingStore::knn_rerank
-    pub fn build_hnsw_quantized(&self, config: HnswConfig, rng: &mut impl rand::Rng) -> Hnsw {
-        let mut index = Hnsw::new_quantized(self.dim.max(1), config);
-        for i in 0..self.len() {
-            index.insert(self.get(i), rng);
-        }
-        index
-    }
-
-    /// Build a sharded HNSW over the stored embeddings: each index `i` is
-    /// routed to its shard by the stable id→shard router, and queries
-    /// scatter-gather across shards (the serving layout). Pair with
-    /// [`knn_rerank`](EmbeddingStore::knn_rerank), which is index-agnostic.
-    pub fn build_hnsw_sharded(
-        &self,
-        config: HnswConfig,
-        shards: usize,
-        rng: &mut impl rand::Rng,
-    ) -> ShardedHnsw {
-        let mut index = ShardedHnsw::new(self.dim.max(1), config, shards);
-        for i in 0..self.len() {
-            index.insert(i, self.get(i), rng);
-        }
-        index
-    }
-
-    /// [`build_hnsw_sharded`](EmbeddingStore::build_hnsw_sharded) with
-    /// int8-quantized per-shard storage.
-    pub fn build_hnsw_quantized_sharded(
-        &self,
-        config: HnswConfig,
-        shards: usize,
-        rng: &mut impl rand::Rng,
-    ) -> ShardedHnsw {
-        let mut index = ShardedHnsw::new_quantized(self.dim.max(1), config, shards);
-        for i in 0..self.len() {
-            index.insert(i, self.get(i), rng);
-        }
-        index
-    }
-
-    /// Approximate top-k with exact rerank: fetch a `shortlist`-sized
-    /// candidate set from `index` (beam width = shortlist), then re-score
-    /// every candidate against the store's full-precision embeddings and
-    /// return the best `k` as `(index, distance)` ascending. With a
-    /// shortlist a few times `k`, this reproduces exact-f32 ranking even
-    /// over a quantized index.
-    ///
-    /// `index` is any [`AnnIndex`] — a single [`Hnsw`] or a [`ShardedHnsw`]
-    /// whose shortlist is the scatter-gather merge across shards. (Earlier
-    /// revisions took `&Hnsw` only, baking in a single-shard assumption.)
-    pub fn knn_rerank(
-        &self,
-        index: &impl AnnIndex,
-        query: &[f32],
-        k: usize,
-        shortlist: usize,
-    ) -> Vec<(usize, f64)> {
-        assert_eq!(query.len(), self.dim, "query dimension mismatch");
-        let ef = shortlist.max(k);
-        let mut scored: Vec<(usize, f64)> = index
-            .knn_ef(query, ef, ef)
-            .into_iter()
-            .map(|(i, _)| (i, crate::embedding_distance(query, self.get(i))))
-            .collect();
-        scored.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)));
-        scored.truncate(k);
-        scored
-    }
-
     /// Serialize to the framed binary format.
     pub fn to_bytes(&self) -> Vec<u8> {
         let data = self.data();
@@ -266,8 +183,6 @@ impl EmbeddingStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn store() -> EmbeddingStore {
         EmbeddingStore::from_vectors(&[
@@ -294,49 +209,6 @@ mod tests {
         assert_eq!(nn[0].0, 0);
         assert_eq!(nn[1].0, 1);
         assert!(nn[0].1 < nn[1].1 && nn[1].1 < nn[2].1);
-    }
-
-    #[test]
-    fn hnsw_agrees_with_exact_on_small_store() {
-        let vectors: Vec<Vec<f32>> = (0..100)
-            .map(|i| vec![(i % 10) as f32, (i / 10) as f32])
-            .collect();
-        let s = EmbeddingStore::from_vectors(&vectors);
-        let mut rng = StdRng::seed_from_u64(1);
-        let index = s.build_hnsw(HnswConfig::default(), &mut rng);
-        let exact: Vec<usize> = s.knn_exact(&[4.2, 4.2], 5).into_iter().map(|(i, _)| i).collect();
-        let approx: Vec<usize> = index.knn(&[4.2, 4.2], 5).into_iter().map(|(i, _)| i).collect();
-        let hits = approx.iter().filter(|i| exact.contains(i)).count();
-        assert!(hits >= 4, "HNSW disagreed with exact on a trivial grid");
-    }
-
-    #[test]
-    fn quantized_rerank_matches_exact_topk() {
-        let vectors: Vec<Vec<f32>> = (0..200)
-            .map(|i| {
-                vec![
-                    ((i * 37) % 101) as f32 / 101.0,
-                    ((i * 53) % 97) as f32 / 97.0,
-                    ((i * 71) % 89) as f32 / 89.0,
-                    ((i * 13) % 83) as f32 / 83.0,
-                ]
-            })
-            .collect();
-        let s = EmbeddingStore::from_vectors(&vectors);
-        let mut rng = StdRng::seed_from_u64(5);
-        let index = s.build_hnsw_quantized(HnswConfig::default(), &mut rng);
-        assert!(index.is_quantized());
-        let q = [0.4f32, 0.6, 0.3, 0.7];
-        let exact = s.knn_exact(&q, 10);
-        let reranked = s.knn_rerank(&index, &q, 10, 50);
-        let exact_ids: Vec<usize> = exact.iter().map(|&(i, _)| i).collect();
-        let rerank_ids: Vec<usize> = reranked.iter().map(|&(i, _)| i).collect();
-        let hits = rerank_ids.iter().filter(|i| exact_ids.contains(i)).count();
-        assert!(hits >= 9, "rerank recovered only {hits}/10 exact neighbours");
-        // Distances on the rerank path are exact f32 distances.
-        for &(i, d) in &reranked {
-            assert_eq!(d, crate::embedding_distance(&q, s.get(i)));
-        }
     }
 
     #[test]

@@ -10,12 +10,15 @@
 //!   learned trajectory embeddings, the index the paper names as
 //!   immediately applicable after embedding (Section I). Supports
 //!   full-precision and int8-quantized vector storage (see [`quant`]).
+//! - [`ShardRouter`]: the stable id→shard hash ([`splitmix64`]) that
+//!   `tmn-serve`'s `ShardSet` uses to spread one HNSW per shard. Sharded,
+//!   quantized and exact-reranked search all live in that one type.
 
 mod hnsw;
 mod kdtree;
 pub mod quant;
-mod sharded;
+mod router;
 
 pub use hnsw::{Hnsw, HnswConfig};
 pub use kdtree::KdTree;
-pub use sharded::{merge_topk, splitmix64, AnnIndex, ShardRouter, ShardedHnsw};
+pub use router::{splitmix64, ShardRouter};

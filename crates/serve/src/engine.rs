@@ -286,31 +286,7 @@ impl ServeEngine {
         mcfg: &ModelConfig,
         cfg: ServeConfig,
     ) -> Result<ServeEngine, ServeError> {
-        if kind == ModelKind::Tmn {
-            return Err(ServeError::PairDependentModel(kind.name()));
-        }
-        let shards = Arc::new(ShardSet::new(mcfg.dim, cfg.shard.clone()));
-        let (tx, rx) = mpsc::channel();
-        let thread_shards = Arc::clone(&shards);
-        let mcfg = *mcfg;
-        let join = std::thread::Builder::new()
-            .name("tmn-serve-engine".into())
-            .spawn(move || {
-                let model = kind.build(&mcfg);
-                assert!(!model.is_pair_dependent(), "pair-dependence was checked at start");
-                assert_eq!(model.dim(), thread_shards.dim(), "model dim vs shard dim");
-                run(
-                    model,
-                    thread_shards,
-                    rx,
-                    cfg.max_batch.max(1),
-                    cfg.reembed_min_delta,
-                    HashMap::new(),
-                    HashMap::new(),
-                );
-            })
-            .expect("spawn tmn-serve engine thread");
-        Ok(ServeEngine { handle: ServeHandle { tx, shards }, join: Some(join) })
+        ServeEngine::spawn(kind, mcfg, cfg, None, None)
     }
 
     /// [`start`](ServeEngine::start), but with trained weights: `params`
@@ -326,36 +302,7 @@ impl ServeEngine {
         cfg: ServeConfig,
         params: Vec<u8>,
     ) -> Result<ServeEngine, ServeError> {
-        if kind == ModelKind::Tmn {
-            return Err(ServeError::PairDependentModel(kind.name()));
-        }
-        let scratch = kind.build(mcfg);
-        tmn_core::checkpoint::load_params(scratch.params(), &params)
-            .map_err(|e| ServeError::BadWeights(e.to_string()))?;
-        let shards = Arc::new(ShardSet::new(mcfg.dim, cfg.shard.clone()));
-        let (tx, rx) = mpsc::channel();
-        let thread_shards = Arc::clone(&shards);
-        let mcfg = *mcfg;
-        let join = std::thread::Builder::new()
-            .name("tmn-serve-engine".into())
-            .spawn(move || {
-                let model = kind.build(&mcfg);
-                tmn_core::checkpoint::load_params(model.params(), &params)
-                    .expect("weight buffer was validated before spawn");
-                assert!(!model.is_pair_dependent(), "pair-dependence was checked at start");
-                assert_eq!(model.dim(), thread_shards.dim(), "model dim vs shard dim");
-                run(
-                    model,
-                    thread_shards,
-                    rx,
-                    cfg.max_batch.max(1),
-                    cfg.reembed_min_delta,
-                    HashMap::new(),
-                    HashMap::new(),
-                );
-            })
-            .expect("spawn tmn-serve engine thread");
-        Ok(ServeEngine { handle: ServeHandle { tx, shards }, join: Some(join) })
+        ServeEngine::spawn(kind, mcfg, cfg, Some(params), None)
     }
 
     /// [`start`](ServeEngine::start), but warm: the corpus trajectories and
@@ -374,25 +321,46 @@ impl ServeEngine {
         corpus_file: &CorpusFile,
         embeddings: &EmbeddingStore,
     ) -> Result<ServeEngine, ServeError> {
+        ServeEngine::spawn(kind, mcfg, cfg, None, Some((corpus_file, embeddings)))
+    }
+
+    /// The one path behind every `start*`: refuse pair-dependent models,
+    /// validate the optional weight buffer, build the shard set (for a warm
+    /// start, bulk-loaded from the stores, with the corpus and cache
+    /// prefilled), then spawn the engine thread, which builds its own model.
+    fn spawn(
+        kind: ModelKind,
+        mcfg: &ModelConfig,
+        cfg: ServeConfig,
+        params: Option<Vec<u8>>,
+        warm: Option<(&CorpusFile, &EmbeddingStore)>,
+    ) -> Result<ServeEngine, ServeError> {
         if kind == ModelKind::Tmn {
             return Err(ServeError::PairDependentModel(kind.name()));
         }
-        if embeddings.dim() != mcfg.dim {
-            return Err(ServeError::DimMismatch { expected: mcfg.dim, got: embeddings.dim() });
+        if let Some(params) = &params {
+            let scratch = kind.build(mcfg);
+            tmn_core::checkpoint::load_params(scratch.params(), params)
+                .map_err(|e| ServeError::BadWeights(e.to_string()))?;
         }
-        assert_eq!(
-            corpus_file.len(),
-            embeddings.len(),
-            "corpus and embedding stores must have one row per trajectory"
-        );
         let shards = Arc::new(ShardSet::new(mcfg.dim, cfg.shard.clone()));
-        shards.warm_load(embeddings)?;
-        let view = corpus_file.view();
-        let mut corpus: HashMap<u64, Trajectory> = HashMap::with_capacity(corpus_file.len());
-        let mut cache: HashMap<u64, CacheEntry> = HashMap::with_capacity(corpus_file.len());
-        for i in 0..corpus_file.len() {
-            corpus.insert(i as u64, view.get(i));
-            cache.insert(i as u64, CacheEntry::new(embeddings.get(i).to_vec()));
+        let mut corpus: HashMap<u64, Trajectory> = HashMap::new();
+        let mut cache: HashMap<u64, CacheEntry> = HashMap::new();
+        if let Some((corpus_file, embeddings)) = warm {
+            // Refuses an embedding store whose dim is not the model's.
+            shards.warm_load(embeddings)?;
+            assert_eq!(
+                corpus_file.len(),
+                embeddings.len(),
+                "corpus and embedding stores must have one row per trajectory"
+            );
+            let view = corpus_file.view();
+            corpus.reserve(corpus_file.len());
+            cache.reserve(corpus_file.len());
+            for i in 0..corpus_file.len() {
+                corpus.insert(i as u64, view.get(i));
+                cache.insert(i as u64, CacheEntry::new(embeddings.get(i).to_vec()));
+            }
         }
         let (tx, rx) = mpsc::channel();
         let thread_shards = Arc::clone(&shards);
@@ -401,6 +369,10 @@ impl ServeEngine {
             .name("tmn-serve-engine".into())
             .spawn(move || {
                 let model = kind.build(&mcfg);
+                if let Some(params) = &params {
+                    tmn_core::checkpoint::load_params(model.params(), params)
+                        .expect("weight buffer was validated before spawn");
+                }
                 assert!(!model.is_pair_dependent(), "pair-dependence was checked at start");
                 assert_eq!(model.dim(), thread_shards.dim(), "model dim vs shard dim");
                 run(
@@ -450,8 +422,8 @@ impl Drop for ServeEngine {
 
 /// The engine loop. Runs on the engine thread, which is the only place the
 /// model (and therefore any tensor) exists. `corpus`/`cache` arrive empty
-/// from [`ServeEngine::start`] and prefilled from
-/// [`ServeEngine::start_warm`]; the loop treats both identically.
+/// from a cold start and prefilled from [`ServeEngine::start_warm`]; the
+/// loop treats both identically.
 fn run(
     model: Box<dyn PairModel>,
     shards: Arc<ShardSet>,

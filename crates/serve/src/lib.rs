@@ -10,11 +10,13 @@
 //!
 //! - [`ShardSet`] — the concurrent data plane. One incremental HNSW shard
 //!   per core behind an `RwLock`, a stable id→shard router
-//!   ([`tmn_index::ShardRouter`]), scatter-gather top-k merge with exact
-//!   f32 rerank, per-shard epochs, tombstone compaction, and degraded mode:
-//!   a shard whose lock is poisoned by a panicking writer is fenced off and
-//!   the engine keeps serving from the remaining shards. `ShardSet` is
-//!   `Sync`; readers and writers hit it from any thread.
+//!   ([`tmn_index::ShardRouter`]), f32 or int8-quantized shard storage,
+//!   scatter-gather top-k merge with exact f32 rerank (the workspace's
+//!   one approximate top-k path), per-shard epochs, tombstone compaction,
+//!   and degraded mode: a shard whose lock is poisoned by a panicking
+//!   writer is fenced off and the engine keeps serving from the remaining
+//!   shards. `ShardSet` is `Sync`; readers and writers hit it from any
+//!   thread.
 //! - [`ServeEngine`] / [`ServeHandle`] — the request plane. Models are
 //!   thread-local (`Rc`-based tensors), so one engine thread owns the model
 //!   plus the trajectory corpus and the warm embedding cache, and drains an

@@ -235,6 +235,19 @@ impl ShardSet {
         self.degraded[s].load(Ordering::SeqCst)
     }
 
+    /// Refuse a vector the shards cannot index or rank: the wrong length,
+    /// or a NaN/±inf component — which would enter the graph, and whose
+    /// distances the merge would order as ties.
+    fn validate(&self, v: &[f32]) -> Result<(), ServeError> {
+        if v.len() != self.dim {
+            return Err(ServeError::DimMismatch { expected: self.dim, got: v.len() });
+        }
+        match v.iter().position(|x| !x.is_finite()) {
+            Some(i) => Err(ServeError::InvalidInput(format!("non-finite component at index {i}"))),
+            None => Ok(()),
+        }
+    }
+
     fn read_shard(&self, s: usize) -> Option<RwLockReadGuard<'_, ShardInner>> {
         if self.degraded[s].load(Ordering::SeqCst) {
             return None;
@@ -264,11 +277,11 @@ impl ShardSet {
     /// Insert (or replace) the embedding for external id `id`. A re-insert
     /// tombstones the previous vector first, so the id is never duplicated.
     /// Triggers a shard compaction when tombstones pass the configured
-    /// ratio.
+    /// ratio. A wrong-length vector is refused with
+    /// [`ServeError::DimMismatch`], a non-finite one with
+    /// [`ServeError::InvalidInput`] (as are such queries).
     pub fn insert(&self, id: u64, v: &[f32]) -> Result<(), ServeError> {
-        if v.len() != self.dim {
-            return Err(ServeError::DimMismatch { expected: self.dim, got: v.len() });
-        }
+        self.validate(v)?;
         let s = self.shard_of(id);
         let mut guard = self.write_shard(s).ok_or(ServeError::DegradedShard(s))?;
         let inner = &mut *guard;
@@ -359,9 +372,7 @@ impl ShardSet {
         q: &[f32],
         k: usize,
     ) -> Result<(Vec<(u64, f64)>, Vec<EpochObservation>), ServeError> {
-        if q.len() != self.dim {
-            return Err(ServeError::DimMismatch { expected: self.dim, got: q.len() });
-        }
+        self.validate(q)?;
         let shortlist = self.cfg.shortlist.max(k);
         let mut candidates = Vec::new();
         let mut epochs = Vec::with_capacity(self.shards.len());
@@ -407,9 +418,7 @@ impl ShardSet {
     /// same live set — the anchor the approximate path is judged against,
     /// and a correct (if slow) fallback regardless of graph state.
     pub fn query_exact(&self, q: &[f32], k: usize) -> Result<Vec<(u64, f64)>, ServeError> {
-        if q.len() != self.dim {
-            return Err(ServeError::DimMismatch { expected: self.dim, got: q.len() });
-        }
+        self.validate(q)?;
         let mut candidates = Vec::new();
         for s in 0..self.shards.len() {
             let Some(inner) = self.read_shard(s) else { continue };
@@ -565,6 +574,85 @@ mod tests {
             set.query(&[1.0], 3),
             Err(ServeError::DimMismatch { expected: 4, got: 1 })
         );
+        // Non-finite components are refused the same way, before they can
+        // enter a graph or tie in the merge.
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let v = [0.5, bad, 0.5, 0.5];
+            let want = ServeError::InvalidInput("non-finite component at index 1".into());
+            assert_eq!(set.insert(99, &v), Err(want.clone()));
+            assert_eq!(set.insert(2, &v), Err(want.clone()), "re-insert keeps the old vector");
+            assert_eq!(set.query(&v, 3), Err(want.clone()));
+            assert_eq!(set.query_exact(&v, 3), Err(want));
+            assert_eq!(set.live(), 5);
+            assert!(!set.contains(99));
+        }
+        assert_eq!(set.get_vec(2).unwrap(), vec_for(2, 4));
+    }
+
+    #[test]
+    fn merge_is_order_independent_and_tie_broken_by_id() {
+        let a = vec![(3u64, 1.0f64), (1, 0.5), (7, 2.0)];
+        let b = vec![(2u64, 0.5f64), (9, 1.5)];
+        let mut ab = a.clone();
+        ab.extend(&b);
+        let mut ba = b.clone();
+        ba.extend(&a);
+        let m1 = merge_topk64(ab, 3);
+        let m2 = merge_topk64(ba, 3);
+        assert_eq!(m1, m2, "merge must not depend on shard arrival order");
+        assert_eq!(m1, vec![(1, 0.5), (2, 0.5), (3, 1.0)], "ties break on id");
+    }
+
+    #[test]
+    fn rerank_straddling_two_shards_equals_exact_bitwise() {
+        // 400 scattered vectors over 2 shards with a shortlist as large as
+        // the corpus: each shard's HNSW walk returns its whole live set, so
+        // the reranked scatter-gather must equal the exact scan bit for bit,
+        // f32 and int8 alike, including every top-k split across shards.
+        let dim = 6;
+        let vectors: Vec<Vec<f32>> = (0..400usize)
+            .map(|i| {
+                (0..dim)
+                    .map(|d| (((i + 1) * (d + 7) * 2654435761_usize) % 1000) as f32 / 1000.0)
+                    .collect()
+            })
+            .collect();
+        for quantized in [false, true] {
+            let cfg = ShardSetConfig {
+                shards: 2,
+                hnsw: HnswConfig { m: 12, ef_construction: 120, ef_search: 80 },
+                quantized,
+                shortlist: 400,
+                seed: 17,
+                ..Default::default()
+            };
+            let set = ShardSet::new(dim, cfg);
+            for (id, v) in vectors.iter().enumerate() {
+                set.insert(id as u64, v).unwrap();
+            }
+            let bits = |top: Vec<(u64, f64)>| -> Vec<(u64, u64)> {
+                top.into_iter().map(|(id, d)| (id, d.to_bits())).collect()
+            };
+            let mut straddling = 0usize;
+            for qi in 0..40usize {
+                let q: Vec<f32> =
+                    (0..dim).map(|d| ((qi * 13 + d * 29) % 100) as f32 / 100.0).collect();
+                let exact = set.query_exact(&q, 10).unwrap();
+                let shard0 = exact.iter().filter(|&&(id, _)| set.shard_of(id) == 0).count();
+                if shard0 > 0 && shard0 < exact.len() {
+                    straddling += 1;
+                }
+                assert_eq!(
+                    bits(set.query(&q, 10).unwrap()),
+                    bits(exact),
+                    "quantized={quantized} query {qi}"
+                );
+            }
+            assert!(
+                straddling >= 30,
+                "quantized={quantized}: test vacuous, only {straddling}/40 top-10s straddle shards"
+            );
+        }
     }
 
     #[test]

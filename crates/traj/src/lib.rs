@@ -22,6 +22,6 @@ pub mod resample;
 pub mod simplify;
 mod trajectory;
 
-pub use matrix::{DistanceMatrix, GroundTruth, SimilarityMatrix, SimilarityTransform};
+pub use matrix::{DistanceMatrix, GroundTruth, SimilarityTransform};
 pub use point::Point;
 pub use trajectory::Trajectory;

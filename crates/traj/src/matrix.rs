@@ -37,17 +37,6 @@ pub trait GroundTruth: Sync {
 
     /// Maximum entry (used to normalize distances before `exp(−αD)`).
     fn max_value(&self) -> f64;
-
-    /// Indices of the `k` nearest trajectories to `i` (self excluded), ties
-    /// broken by index. Matches [`DistanceMatrix::knn_of`] exactly.
-    fn knn_of(&self, i: usize, k: usize) -> Vec<usize> {
-        let mut row = Vec::with_capacity(self.len());
-        self.row_into(i, &mut row);
-        let mut idx: Vec<usize> = (0..self.len()).filter(|&j| j != i).collect();
-        idx.sort_by(|&a, &b| row[a].partial_cmp(&row[b]).unwrap().then(a.cmp(&b)));
-        idx.truncate(k);
-        idx
-    }
 }
 
 impl GroundTruth for DistanceMatrix {
@@ -67,19 +56,15 @@ impl GroundTruth for DistanceMatrix {
     fn max_value(&self) -> f64 {
         DistanceMatrix::max_value(self)
     }
-
-    fn knn_of(&self, i: usize, k: usize) -> Vec<usize> {
-        DistanceMatrix::knn_of(self, i, k)
-    }
 }
 
-/// The paper's similarity transform `s(d) = exp(−α·d/scale)` as a pure
-/// function, detached from any materialized matrix.
+/// The paper's similarity transform `S = exp(−α·D̂)` as a pure function,
+/// with `D̂ = D/scale` scaled to `[0, 1]` by the ground truth's maximum so α
+/// has a dataset-independent effect. Values lie in `(0, 1]`: 1 on the
+/// diagonal, `exp(−α)` at the maximum distance.
 ///
-/// Applying it to a distance returns a value bitwise-identical to the
-/// corresponding [`SimilarityMatrix`] entry (both evaluate the same f64
-/// expression), so the trainer can compute similarities on demand from any
-/// [`GroundTruth`] instead of materializing an n² similarity matrix.
+/// The trainer applies it on demand to entries of any [`GroundTruth`]
+/// instead of materializing an n² similarity matrix.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimilarityTransform {
     alpha: f64,
@@ -88,7 +73,7 @@ pub struct SimilarityTransform {
 
 impl SimilarityTransform {
     /// Transform with `scale` taken from the ground truth's maximum entry
-    /// (clamped away from zero), matching [`DistanceMatrix::to_similarity`].
+    /// (clamped away from zero).
     pub fn from_truth(truth: &dyn GroundTruth, alpha: f64) -> SimilarityTransform {
         SimilarityTransform { alpha, scale: truth.max_value().max(f64::MIN_POSITIVE) }
     }
@@ -196,67 +181,6 @@ impl DistanceMatrix {
     pub fn max_value(&self) -> f64 {
         self.data.iter().copied().fold(0.0, f64::max)
     }
-
-    /// The paper's similarity transform `S = exp(−α·D̂)` with `D̂` scaled to
-    /// `[0, 1]` by the matrix maximum, so α has a dataset-independent effect.
-    pub fn to_similarity(&self, alpha: f64) -> SimilarityMatrix {
-        let t = SimilarityTransform::from_truth(self, alpha);
-        let data = self.data.iter().map(|&d| t.of_distance(d)).collect();
-        SimilarityMatrix { n: self.n, data, alpha, scale: t.scale() }
-    }
-
-    /// Indices of the `k` nearest trajectories to row `i` (self excluded),
-    /// ties broken by index.
-    pub fn knn_of(&self, i: usize, k: usize) -> Vec<usize> {
-        let row = self.row(i);
-        let mut idx: Vec<usize> = (0..self.n).filter(|&j| j != i).collect();
-        idx.sort_by(|&a, &b| row[a].partial_cmp(&row[b]).unwrap().then(a.cmp(&b)));
-        idx.truncate(k);
-        idx
-    }
-}
-
-/// `S = exp(−α·D/scale)`, entries in `(0, 1]`.
-#[derive(Debug, Clone)]
-pub struct SimilarityMatrix {
-    n: usize,
-    data: Vec<f64>,
-    alpha: f64,
-    scale: f64,
-}
-
-impl SimilarityMatrix {
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    pub fn get(&self, i: usize, j: usize) -> f64 {
-        self.data[i * self.n + j]
-    }
-
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
-
-    /// The distance normalization constant used by the transform.
-    pub fn scale(&self) -> f64 {
-        self.scale
-    }
-
-    /// Similarity of an out-of-matrix distance value under the same transform.
-    pub fn similarity_of_distance(&self, d: f64) -> f64 {
-        self.transform().of_distance(d)
-    }
-
-    /// The transform (α, scale) this matrix was built with, as a pure
-    /// function usable without the matrix.
-    pub fn transform(&self) -> SimilarityTransform {
-        SimilarityTransform::new(self.alpha, self.scale)
-    }
 }
 
 #[cfg(test)]
@@ -297,44 +221,23 @@ mod tests {
     #[test]
     fn similarity_transform_properties() {
         let m = DistanceMatrix::compute(&toy(), Metric::Dtw, &MetricParams::default(), 1);
-        let s = m.to_similarity(8.0);
+        let t = SimilarityTransform::from_truth(&m, 8.0);
+        let s = |i: usize, j: usize| t.of_distance(m.get(i, j));
         for i in 0..3 {
-            assert_eq!(s.get(i, i), 1.0); // exp(0)
+            assert_eq!(s(i, i), 1.0); // exp(0)
             for j in 0..3 {
-                let v = s.get(i, j);
+                let v = s(i, j);
                 assert!(v > 0.0 && v <= 1.0);
             }
         }
         // Monotone: smaller distance => larger similarity.
-        assert!(s.get(0, 1) > s.get(0, 2));
+        assert!(s(0, 1) > s(0, 2));
         // Max-distance entry maps to exp(-alpha).
         let min_sim = (0..3)
             .flat_map(|i| (0..3).map(move |j| (i, j)))
-            .map(|(i, j)| s.get(i, j))
+            .map(|(i, j)| s(i, j))
             .fold(f64::INFINITY, f64::min);
         assert!((min_sim - (-8.0f64).exp()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn knn_orders_by_distance() {
-        let m = DistanceMatrix::compute(&toy(), Metric::Dtw, &MetricParams::default(), 1);
-        assert_eq!(m.knn_of(0, 2), vec![1, 2]);
-        assert_eq!(m.knn_of(2, 1).len(), 1);
-    }
-
-    #[test]
-    fn transform_matches_materialized_matrix_bitwise() {
-        let m = DistanceMatrix::compute(&toy(), Metric::Dtw, &MetricParams::default(), 1);
-        let s = m.to_similarity(8.0);
-        let t = SimilarityTransform::from_truth(&m, 8.0);
-        for i in 0..3 {
-            for j in 0..3 {
-                assert_eq!(s.get(i, j).to_bits(), t.of_distance(m.get(i, j)).to_bits());
-            }
-        }
-        // Out-of-matrix distances agree too.
-        assert_eq!(t.of_distance(1.5).to_bits(), s.similarity_of_distance(1.5).to_bits());
-        assert_eq!(s.transform(), t);
     }
 
     #[test]
@@ -347,7 +250,6 @@ mod tests {
         for i in 0..3 {
             gt.row_into(i, &mut row);
             assert_eq!(row.as_slice(), m.row(i));
-            assert_eq!(gt.knn_of(i, 2), m.knn_of(i, 2));
             for j in 0..3 {
                 assert_eq!(gt.get(i, j).to_bits(), m.get(i, j).to_bits());
             }

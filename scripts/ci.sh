@@ -8,7 +8,9 @@ echo "== build (release) =="
 cargo build --release --workspace
 
 echo "== build the repository benchmark (its own workspace, built against these crates) =="
-cargo build --release --offline --manifest-path tmnbench/Cargo.toml
+# --locked: a crate-manifest change that would rewrite tmnbench/Cargo.lock
+# fails here instead of silently editing benchmark files during a run.
+cargo build --release --offline --locked --manifest-path tmnbench/Cargo.toml
 
 echo "== test =="
 cargo test -q --workspace

@@ -67,6 +67,6 @@ pub mod prelude {
     pub use tmn_index::{Hnsw, HnswConfig, KdTree};
     pub use tmn_traj::{
         metrics::{prefix_distances, Metric, MetricParams},
-        DistanceMatrix, Point, SimilarityMatrix, Trajectory,
+        DistanceMatrix, Point, SimilarityTransform, Trajectory,
     };
 }

@@ -38,10 +38,10 @@ fn extreme_alpha_similarities_stay_in_range() {
         .collect();
     let dmat = DistanceMatrix::compute(&trajs, Metric::Dtw, &MetricParams::default(), 1);
     for alpha in [0.001, 1.0, 100.0] {
-        let s = dmat.to_similarity(alpha);
+        let t = SimilarityTransform::from_truth(&dmat, alpha);
         for i in 0..4 {
             for j in 0..4 {
-                let v = s.get(i, j);
+                let v = t.of_distance(dmat.get(i, j));
                 assert!((0.0..=1.0).contains(&v), "alpha {alpha}: {v}");
             }
         }

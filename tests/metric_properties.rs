@@ -92,14 +92,15 @@ proptest! {
         alpha in 1.0f64..20.0,
     ) {
         let dmat = DistanceMatrix::compute(&trajs, Metric::Dtw, &MetricParams::default(), 1);
-        let smat = dmat.to_similarity(alpha);
+        let t = SimilarityTransform::from_truth(&dmat, alpha);
+        let s = |i: usize, j: usize| t.of_distance(dmat.get(i, j));
         let n = trajs.len();
         for i in 0..n {
-            prop_assert!((smat.get(i, i) - 1.0).abs() < 1e-12);
+            prop_assert!((s(i, i) - 1.0).abs() < 1e-12);
             for j in 0..n {
                 for k in 0..n {
                     if dmat.get(i, j) < dmat.get(i, k) {
-                        prop_assert!(smat.get(i, j) >= smat.get(i, k));
+                        prop_assert!(s(i, j) >= s(i, k));
                     }
                 }
             }
