@@ -219,46 +219,14 @@ pub fn gru_seq(xs: &[f32], bs: usize, m: usize, d_in: usize, h: usize, w: &GruWe
     out
 }
 
-/// No-grad bidirectional LSTM: forward pass on `xs`, backward pass on the
-/// time-reversed sequence, hidden states concatenated per step →
-/// `[B, m, 2h]` (rented buffer). Matches `nn::BiLstm::forward_seq` bitwise.
-pub fn bilstm_seq(
-    xs: &[f32],
-    bs: usize,
-    m: usize,
-    d_in: usize,
-    h: usize,
-    fwd: &LstmWeights<'_>,
-    bwd: &LstmWeights<'_>,
-) -> Vec<f32> {
-    let f_out = lstm_seq(xs, bs, m, d_in, h, fwd);
-    let xr = reverse_time(xs, bs, m, d_in);
-    let b_out = lstm_seq(&xr, bs, m, d_in, h, bwd);
-    recycle(xr);
-    let mut out = take(bs * m * 2 * h);
-    for b in 0..bs {
-        for t in 0..m {
-            let dst = (b * m + t) * 2 * h;
-            out[dst..dst + h].copy_from_slice(&f_out[(b * m + t) * h..(b * m + t + 1) * h]);
-            // The backward direction's step t is the reversed sequence's
-            // step m-1-t (the graphed path's outer `reverse_time`).
-            let src = (b * m + (m - 1 - t)) * h;
-            out[dst + h..dst + 2 * h].copy_from_slice(&b_out[src..src + h]);
-        }
-    }
-    recycle(f_out);
-    recycle(b_out);
-    out
-}
-
 /// Resumable recurrent state for the **streaming** inference path: one
 /// live (bs = 1) sequence whose points arrive one at a time.
 ///
 /// Appending a point costs exactly one gate-preprojection row plus one
 /// fused-cell elementwise step — and, because [`mm_nn`]'s dispatch is
 /// row-stable (`kernels::ROW_STABLE_MIN_KN`), the hidden state after `N`
-/// appends is **bitwise equal** to running [`lstm_seq`] / [`gru_seq`] /
-/// [`bilstm_seq`] over the full `N`-point sequence.
+/// appends is **bitwise equal** to running [`lstm_seq`] / [`gru_seq`] over
+/// the full `N`-point sequence.
 ///
 /// The state owns its stash buffer (it outlives any single call and
 /// travels across threads); per-step scratch still comes from the pool, so
@@ -266,7 +234,6 @@ pub fn bilstm_seq(
 pub enum RnnStream {
     Lstm(LstmStream),
     Gru(GruStream),
-    BiLstm(BiLstmStream),
 }
 
 impl RnnStream {
@@ -275,7 +242,6 @@ impl RnnStream {
         match self {
             RnnStream::Lstm(s) => s.steps,
             RnnStream::Gru(s) => s.steps,
-            RnnStream::BiLstm(s) => s.fwd.steps,
         }
     }
 
@@ -322,46 +288,28 @@ impl GruStream {
     }
 }
 
-/// Streaming BiLstm state. Only the forward direction carries incremental
-/// state; see [`bilstm_stream_step`] for the backward-direction contract.
-pub struct BiLstmStream {
-    fwd: LstmStream,
-}
-
-impl BiLstmStream {
-    pub fn new(h: usize) -> BiLstmStream {
-        BiLstmStream { fwd: LstmStream::new(h) }
-    }
-}
-
-/// One fused LSTM cell step over a caller-owned `[7h]` stash: mirrors one
-/// iteration of [`lstm_seq`]'s loop at `bs = 1` (same kernels, same op
-/// order, bitwise). Writes the new hidden row into `out` (`[h]`).
-fn lstm_cell_step(stash: &mut [f32], x: &[f32], d_in: usize, h: usize, w: &LstmWeights<'_>, out: &mut [f32]) {
-    debug_assert!(x.len() == d_in && stash.len() == 7 * h && out.len() == h);
+/// Advance a streaming LSTM by one input row `x` (`[d_in]`); writes the new
+/// hidden state into `out` (`[h]`). After `N` calls, `out` is bitwise equal
+/// to the last row of [`lstm_seq`] over the same `N` inputs: one iteration
+/// of its loop at `bs = 1` (same kernels, same op order).
+pub fn lstm_stream_step(s: &mut LstmStream, x: &[f32], d_in: usize, w: &LstmWeights<'_>, out: &mut [f32]) {
+    let h = s.h;
+    debug_assert!(x.len() == d_in && out.len() == h);
     let mut hp = take(h);
     let mut cp = take(h);
     let mut z = take(4 * h);
-    hp.copy_from_slice(&stash[..h]);
-    cp.copy_from_slice(&stash[h..2 * h]);
+    hp.copy_from_slice(&s.stash[..h]);
+    cp.copy_from_slice(&s.stash[h..2 * h]);
     // z = bias + x·w_ih: the streaming slice of `preproject` (row-stable
     // GEMM ⇒ bitwise equal to row t of the full [T·B, 4h] pre-projection).
     z.copy_from_slice(w.bias);
     mm_nn(x, w.w_ih, 1, d_in, 4 * h, &mut z);
     mm_nn(&hp, w.w_hh, 1, h, 4 * h, &mut z);
-    lstm_step_elementwise(&z, &cp, 1, h, stash);
-    out.copy_from_slice(&stash[..h]);
+    lstm_step_elementwise(&z, &cp, 1, h, &mut s.stash);
+    out.copy_from_slice(&s.stash[..h]);
     recycle(hp);
     recycle(cp);
     recycle(z);
-}
-
-/// Advance a streaming LSTM by one input row `x` (`[d_in]`); writes the new
-/// hidden state into `out` (`[h]`). After `N` calls, `out` is bitwise equal
-/// to the last row of [`lstm_seq`] over the same `N` inputs.
-pub fn lstm_stream_step(s: &mut LstmStream, x: &[f32], d_in: usize, w: &LstmWeights<'_>, out: &mut [f32]) {
-    let h = s.h;
-    lstm_cell_step(&mut s.stash, x, d_in, h, w, out);
     s.steps += 1;
 }
 
@@ -388,46 +336,6 @@ pub fn gru_stream_step(s: &mut GruStream, x: &[f32], d_in: usize, w: &GruWeights
     recycle(q);
     recycle(pn);
     s.steps += 1;
-}
-
-/// Advance a streaming BiLstm by one input row; writes the **newest output
-/// row** `[2h]` (forward ⊕ backward halves).
-///
-/// The forward half steps incrementally. The backward half of the newest
-/// row is, by construction, the backward LSTM's *first* step over the
-/// time-reversed sequence — one cell step on `x` from zero state, so the
-/// newest row is still O(1) per append. Backward halves of **earlier**
-/// rows see the future and change on every append; they are not maintained
-/// here — a caller needing the full `[m, 2h]` matrix must re-run
-/// [`bilstm_seq`] over the stored inputs (the documented O(m) re-scan).
-pub fn bilstm_stream_step(
-    s: &mut BiLstmStream,
-    x: &[f32],
-    d_in: usize,
-    fwd: &LstmWeights<'_>,
-    bwd: &LstmWeights<'_>,
-    out: &mut [f32],
-) {
-    let h = s.fwd.h;
-    debug_assert_eq!(out.len(), 2 * h);
-    lstm_stream_step(&mut s.fwd, x, d_in, fwd, &mut out[..h]);
-    // Fresh zero stash from the pool: the backward direction's step 0.
-    let mut bstash = take(7 * h);
-    lstm_cell_step(&mut bstash, x, d_in, h, bwd, &mut out[h..]);
-    recycle(bstash);
-}
-
-/// `out[b, t, :] = xs[b, m-1-t, :]` (rented buffer).
-pub fn reverse_time(xs: &[f32], bs: usize, m: usize, d: usize) -> Vec<f32> {
-    let mut out = take(bs * m * d);
-    for b in 0..bs {
-        for t in 0..m {
-            let src = (b * m + (m - 1 - t)) * d;
-            let dst = (b * m + t) * d;
-            out[dst..dst + d].copy_from_slice(&xs[src..src + d]);
-        }
-    }
-    out
 }
 
 /// Batched `out[i] = a[i] · b[i]ᵀ`: `[B, ma, d] × [B, mb, d]` → `[B, ma, mb]`
@@ -571,16 +479,12 @@ mod tests {
     }
 
     #[test]
-    fn concat_and_reverse_layouts() {
+    fn concat_cols_layout() {
         let a = [1.0, 2.0, 3.0, 4.0]; // [2, 2]
         let b = [9.0, 8.0]; // [2, 1]
         let cat = concat_cols(&a, &b, 2, 2, 1);
         assert_eq!(cat, vec![1.0, 2.0, 9.0, 3.0, 4.0, 8.0]);
         recycle(cat);
-        // [1, 3, 1]: reversing swaps the time rows.
-        let r = reverse_time(&[1.0, 2.0, 3.0], 1, 3, 1);
-        assert_eq!(r, vec![3.0, 2.0, 1.0]);
-        recycle(r);
     }
 
     #[test]

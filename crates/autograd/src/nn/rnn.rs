@@ -22,8 +22,7 @@ pub trait Recurrent {
     /// one input row `x` (`[d_in]`), writing the newest output row into
     /// `out` (`[hidden_dim()]`). After `N` steps this row is bitwise equal
     /// to the last row of [`forward_seq_nograd`](Recurrent::forward_seq_nograd)
-    /// over the same `N` inputs at `bs = 1` (for BiLstm, of the *newest*
-    /// output row only — earlier rows' backward halves are not maintained).
+    /// over the same `N` inputs at `bs = 1`.
     ///
     /// Panics if `s` came from a different backbone kind.
     fn stream_step(&self, s: &mut crate::infer::RnnStream, x: &[f32], out: &mut [f32]);

@@ -19,7 +19,7 @@ pub use broadcast::{mul_scalar_tensor, slice_rows, tile_rows};
 pub use matmul::{bmm_nn, bmm_nt, matmul};
 pub use reduce::{mean_all, qerror, sum_all, sum_last};
 pub use rnn_fused::{collect_states, gru_cell_fused, lstm_cell_fused, rnn_gate_preproject};
-pub use shape_ops::{concat_last, gather_time, reshape, reverse_time, select_time, slice_last, stack_time};
+pub use shape_ops::{concat_last, gather_time, reshape, select_time, slice_last, stack_time};
 pub use softmax::{masked_softmax, softmax};
 
 // Forward kernels shared with the no-grad inference path (`crate::infer`),

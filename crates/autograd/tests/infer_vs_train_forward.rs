@@ -18,7 +18,7 @@
 //! perturb concurrently running ones.
 
 use proptest::prelude::*;
-use tmn_autograd::nn::{BiLstm, Gru, Lstm, ParamSet, Recurrent};
+use tmn_autograd::nn::{Gru, Lstm, ParamSet, Recurrent};
 use tmn_autograd::{kernels, simd, Tensor};
 
 /// Deterministic pseudo-random buffer in roughly [-1, 1].
@@ -59,17 +59,6 @@ fn gru_nograd_matches_graphed_forward_bitwise() {
     let mut ps = ParamSet::new();
     let cell = Gru::new(&mut ps, "g", d_in, h, &mut rng(12));
     let xs = seq_input(b, m, d_in, 43);
-    let graphed = cell.forward_seq(&Tensor::from_vec(xs.clone(), &[b, m, d_in])).to_vec();
-    let fast = cell.forward_seq_nograd(&xs, b, m);
-    assert_eq!(fast, graphed);
-}
-
-#[test]
-fn bilstm_nograd_matches_graphed_forward_bitwise() {
-    let (b, m, d_in, h) = (2, 11, 4, 8);
-    let mut ps = ParamSet::new();
-    let cell = BiLstm::new(&mut ps, "bi", d_in, h, &mut rng(13));
-    let xs = seq_input(b, m, d_in, 44);
     let graphed = cell.forward_seq(&Tensor::from_vec(xs.clone(), &[b, m, d_in])).to_vec();
     let fast = cell.forward_seq_nograd(&xs, b, m);
     assert_eq!(fast, graphed);

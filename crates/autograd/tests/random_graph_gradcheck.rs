@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tmn_autograd::nn::{BiLstm, Gru, MultiHeadSelfAttention, ParamSet, Recurrent};
+use tmn_autograd::nn::{Gru, ParamSet, Recurrent};
 use tmn_autograd::{ops, Tensor};
 
 /// A pool of unary op choices applied during graph construction.
@@ -134,53 +134,29 @@ fn gru_layer_gradcheck() {
 }
 
 #[test]
-fn bilstm_layer_gradcheck() {
-    let mut ps = ParamSet::new();
-    let mut rng = StdRng::seed_from_u64(11);
-    let bi = BiLstm::new(&mut ps, "bi", 2, 2, &mut rng);
-    let x = Tensor::param(
-        (0..6).map(|i| ((i as f32) * 1.07).cos() * 0.6).collect(),
-        &[1, 3, 2],
-    );
-    let leaves = leaves_of(&ps, &x);
-    fd_check(&leaves, || ops::sum_all(&bi.forward_seq(&x)), 2e-2);
-}
-
-#[test]
 fn attention_layer_gradcheck_masked_softmax_path() {
-    // Two valid key positions and one padded one exercise the masked
-    // renormalization branch of `masked_softmax` end to end.
-    let mut ps = ParamSet::new();
-    let mut rng = StdRng::seed_from_u64(13);
-    let mha = MultiHeadSelfAttention::new(&mut ps, "mha", 4, 2, &mut rng);
+    // T3S's structural branch: single-head dot-product self-attention,
+    // bmm_nt → scale → masked_softmax → bmm_nn → mul_mask_rows. Two valid
+    // key positions and one padded one exercise the masked renormalization
+    // branch of `masked_softmax` end to end.
     let x = Tensor::param(
         (0..12).map(|i| ((i as f32) * 0.59).sin() * 0.8).collect(),
         &[1, 3, 4],
     );
     let mask = Tensor::from_vec(vec![1.0, 1.0, 0.0], &[1, 3]);
-    let leaves = leaves_of(&ps, &x);
-    fd_check(&leaves, || ops::sum_all(&mha.forward(&x, &mask)), 2e-2);
+    let attend = || {
+        let scores = ops::scale(&ops::bmm_nt(&x, &x), 0.5);
+        let p = ops::masked_softmax(&scores, &mask);
+        ops::sum_all(&ops::mul_mask_rows(&ops::bmm_nn(&p, &x), &mask))
+    };
+    fd_check(&[("x".to_string(), x.clone())], attend, 2e-2);
 
     // The padded query row is zeroed by the output mask, so no gradient may
     // flow back from it: perturbing the padded input row leaves the loss
-    // unchanged (checked inside fd_check), and its value-path gradients are
-    // killed by the masked softmax assigning it zero attention weight.
+    // unchanged (checked inside fd_check), and its key/value-path gradients
+    // are killed by the masked softmax assigning it zero attention weight.
     let grads = x.grad().expect("input gradient");
     assert!(grads.iter().take(8).any(|&g| g != 0.0), "valid rows must receive gradient");
-}
-
-#[test]
-fn attention_layer_gradcheck_unmasked() {
-    let mut ps = ParamSet::new();
-    let mut rng = StdRng::seed_from_u64(17);
-    let mha = MultiHeadSelfAttention::new(&mut ps, "mha", 4, 1, &mut rng);
-    let x = Tensor::param(
-        (0..16).map(|i| ((i as f32) * 0.71).cos() * 0.5).collect(),
-        &[2, 2, 4],
-    );
-    let mask = Tensor::from_vec(vec![1.0; 4], &[2, 2]);
-    let leaves = leaves_of(&ps, &x);
-    fd_check(&leaves, || ops::sum_all(&mha.forward(&x, &mask)), 2e-2);
 }
 
 proptest! {

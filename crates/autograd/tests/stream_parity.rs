@@ -9,7 +9,7 @@
 //! step functions. Sizes below straddle the `ROW_STABLE_MIN_KN` dispatch
 //! threshold so both the naive and the blocked kernel are exercised.
 
-use tmn_autograd::nn::{BiLstm, Gru, Lstm, ParamSet, Recurrent};
+use tmn_autograd::nn::{Gru, Lstm, ParamSet, Recurrent};
 
 fn rng(seed: u64) -> rand::rngs::StdRng {
     use rand::SeedableRng;
@@ -61,18 +61,6 @@ fn gru_stream_matches_full_rerun_bitwise() {
         let mut ps = ParamSet::new();
         let cell = Gru::new(&mut ps, "g", d_in, h, &mut rng(9 + seed as u64));
         check_stream(&cell, 11, seed);
-    }
-}
-
-#[test]
-fn bilstm_stream_matches_newest_row_of_full_rerun_bitwise() {
-    // Only the NEWEST row is promised: its backward half is the backward
-    // LSTM's first step over the reversed input, i.e. one cell step from
-    // zero state on the newest point.
-    for (d_in, h, seed) in [(3, 4, 301), (4, 20, 302)] {
-        let mut ps = ParamSet::new();
-        let cell = BiLstm::new(&mut ps, "b", d_in, h, &mut rng(13 + seed as u64));
-        check_stream(&cell, 9, seed);
     }
 }
 

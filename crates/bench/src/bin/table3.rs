@@ -6,10 +6,8 @@
 
 use std::time::Instant;
 use tmn::prelude::*;
-use tmn_bench::{write_json, Ctx, Scale, Table};
-use tmn_eval::{
-    time_embedding_distance, time_exact_pairwise_counted, time_inference_split, EfficiencyRow,
-};
+use tmn_bench::{time_inference_split, write_json, Ctx, Scale, Table};
+use tmn_eval::{time_embedding_distance, time_exact_pairwise_counted, EfficiencyRow};
 
 fn main() {
     let scale = Scale::from_args();

@@ -20,4 +20,6 @@ pub mod report;
 pub mod runner;
 
 pub use report::{write_json, Table};
-pub use runner::{Ctx, RunResult, RunSpec, SamplerKind, Scale};
+pub use runner::{
+    time_inference_split, Ctx, InferenceTimings, RunResult, RunSpec, SamplerKind, Scale,
+};

@@ -223,6 +223,54 @@ impl Ctx {
     }
 }
 
+/// Per-trajectory inference wall clock, split by forward implementation.
+#[derive(Debug, Clone, Copy)]
+pub struct InferenceTimings {
+    /// Total seconds for the tape-free serving path (`encode_all`).
+    pub nograd_s: f64,
+    /// Total seconds for the graphed autograd forward under `no_grad`.
+    pub graphed_s: f64,
+    /// Trajectories encoded by each pass.
+    pub trajectories: u64,
+}
+
+impl InferenceTimings {
+    /// Graphed-over-fast ratio — the autograd overhead factor.
+    pub fn speedup(&self) -> f64 {
+        self.graphed_s / self.nograd_s.max(1e-12)
+    }
+}
+
+/// Time both forward implementations over the same self-paired chunks so
+/// Table III can report model cost (tape-free) and autograd overhead
+/// (graphed: the training forward under `no_grad`, last valid step
+/// gathered) as separate numbers.
+pub fn time_inference_split(
+    model: &dyn PairModel,
+    trajs: &[Trajectory],
+    batch_size: usize,
+) -> InferenceTimings {
+    let start = Instant::now();
+    let emb = encode_all(model, trajs, batch_size);
+    std::hint::black_box(&emb);
+    let nograd_s = start.elapsed().as_secs_f64();
+    let start = Instant::now();
+    no_grad(|| {
+        for chunk in trajs.chunks(batch_size) {
+            let refs: Vec<&Trajectory> = chunk.iter().collect();
+            let batch = PairBatch::build(&refs, &refs);
+            let enc = model.encode_pairs(&batch);
+            std::hint::black_box(ops::gather_time(&enc.out_a, &batch.a.last_idx).to_vec());
+        }
+    });
+    let graphed_s = start.elapsed().as_secs_f64();
+    InferenceTimings {
+        nograd_s,
+        graphed_s,
+        trajectories: trajs.len() as u64,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -250,6 +298,22 @@ mod tests {
         let a = ctx.dataset(DatasetKind::PortoLike, 40, 1);
         let b = ctx.dataset(DatasetKind::PortoLike, 40, 1);
         assert!(Rc::ptr_eq(&a, &b));
+    }
+
+    #[test]
+    fn inference_split_reports_both_paths() {
+        let model = ModelKind::Srn.build(&ModelConfig { dim: 8, seed: 1 });
+        let trajs: Vec<Trajectory> = (0..6)
+            .map(|i| {
+                (0..10)
+                    .map(|t| Point::new(0.01 * t as f64, 0.05 * i as f64))
+                    .collect()
+            })
+            .collect();
+        let t = time_inference_split(model.as_ref(), &trajs, 3);
+        assert!(t.nograd_s > 0.0 && t.graphed_s > 0.0);
+        assert_eq!(t.trajectories, 6);
+        assert!(t.speedup().is_finite() && t.speedup() > 0.0);
     }
 
     #[test]

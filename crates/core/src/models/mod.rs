@@ -74,17 +74,12 @@ pub trait PairModel {
     ///
     /// Implementations run entirely over plain `Vec<f32>` buffers via
     /// `tmn_autograd::infer` — zero graph-node allocation — and are
-    /// bitwise-identical to `encode_pairs` + last-step gather. Returns
-    /// `None` when the model has no fast path (evaluation falls back to the
-    /// graphed forward under `no_grad`).
-    fn embed_nograd(&self, _own: &SideBatch, _other: &SideBatch) -> Option<Vec<f32>> {
-        None
-    }
+    /// bitwise-identical to `encode_pairs` + last-step gather.
+    fn embed_nograd(&self, own: &SideBatch, other: &SideBatch) -> Vec<f32>;
 
     /// Begin a streaming embedding of ONE trajectory, or `None` when the
     /// model cannot embed single trajectories point-by-point: pair-dependent
-    /// TMN (the matching mechanism needs the paired side) and attention
-    /// variants without a tape-free path (T3S multi-head).
+    /// TMN (the matching mechanism needs the paired side).
     ///
     /// Recurrent models return resumable hidden state; attention models
     /// return a *windowed* stream whose appends re-embed the buffered window
@@ -115,7 +110,6 @@ pub trait PairModel {
                 let traj = Trajectory::new(points.clone());
                 let side = SideBatch::build(&[&traj], traj.len());
                 self.embed_nograd(&side, &side)
-                    .expect("windowed stream requires a tape-free embed path")
             }
             StreamInner::Rnn(_) => panic!(
                 "{}: model handed out an RNN stream but does not override embed_incremental",

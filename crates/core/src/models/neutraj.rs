@@ -165,7 +165,7 @@ impl PairModel for NeuTraj {
         });
     }
 
-    fn embed_nograd(&self, own: &SideBatch, _other: &SideBatch) -> Option<Vec<f32>> {
+    fn embed_nograd(&self, own: &SideBatch, _other: &SideBatch) -> Vec<f32> {
         let (bs, m) = (own.batch_size(), own.max_len);
         let feats = own.feats.data();
         let mut x = self.embed.forward_nograd(&feats, bs * m);
@@ -179,7 +179,7 @@ impl PairModel for NeuTraj {
         infer::recycle(lstm_in);
         let out = infer::gather_last(&seq, bs, m, self.dim, &own.last_idx);
         infer::recycle(seq);
-        Some(out)
+        out
     }
 
     /// The spatial attention memory is mutable state outside the `ParamSet`:

@@ -52,7 +52,7 @@ impl PairModel for Srn {
         self.dim
     }
 
-    fn embed_nograd(&self, own: &SideBatch, _other: &SideBatch) -> Option<Vec<f32>> {
+    fn embed_nograd(&self, own: &SideBatch, _other: &SideBatch) -> Vec<f32> {
         let (bs, m) = (own.batch_size(), own.max_len);
         let feats = own.feats.data();
         let mut x = self.embed.forward_nograd(&feats, bs * m);
@@ -61,7 +61,7 @@ impl PairModel for Srn {
         infer::recycle(x);
         let out = infer::gather_last(&seq, bs, m, self.dim, &own.last_idx);
         infer::recycle(seq);
-        Some(out)
+        out
     }
 
     fn stream_begin(&self) -> Option<super::ModelStream> {

@@ -12,7 +12,7 @@ use crate::batch::{PairBatch, SideBatch};
 use crate::config::ModelConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tmn_autograd::nn::{Linear, Lstm, MultiHeadSelfAttention, ParamSet, Recurrent};
+use tmn_autograd::nn::{Linear, Lstm, ParamSet, Recurrent};
 use tmn_autograd::{infer, ops, Tensor};
 
 /// Maximum sequence length supported by the learned positional embedding.
@@ -29,25 +29,12 @@ pub struct T3s {
     pos: Tensor,
     /// Raw combination logit; λ = σ(raw).
     lambda: Tensor,
-    /// Transformer-style multi-head attention variant (None = the plain
-    /// dot-product self-attention of the default T3S reproduction).
-    mha: Option<MultiHeadSelfAttention>,
     dim: usize,
     half: usize,
 }
 
 impl T3s {
     pub fn new(config: &ModelConfig) -> T3s {
-        T3s::build(config, None)
-    }
-
-    /// Variant whose structural branch is Transformer-style multi-head
-    /// attention (with Q/K/V/O projections); `heads` must divide `d/2`.
-    pub fn with_heads(config: &ModelConfig, heads: usize) -> T3s {
-        T3s::build(config, Some(heads))
-    }
-
-    fn build(config: &ModelConfig, heads: Option<usize>) -> T3s {
         let d = config.dim;
         let dh = config.half_dim();
         let mut params = ParamSet::new();
@@ -63,8 +50,7 @@ impl T3s {
             ),
         );
         let lambda = params.register("lambda", Tensor::param(vec![0.0], &[1]));
-        let mha = heads.map(|h| MultiHeadSelfAttention::new(&mut params, "mha", dh, h, &mut rng));
-        T3s { params, embed, lstm, attn_proj, pos, lambda, mha, dim: d, half: dh }
+        T3s { params, embed, lstm, attn_proj, pos, lambda, dim: d, half: dh }
     }
 
     /// Slice the positional table to `[m, d̂]` and broadcast-add per batch row.
@@ -81,13 +67,9 @@ impl T3s {
         let z = self.lstm.forward_seq(&x);
         // Structural branch: self-attention with positional information.
         let xp = self.add_positions(&x, b, m);
-        let attn = if let Some(mha) = &self.mha {
-            mha.forward(&xp, &side.mask)
-        } else {
-            let scores = ops::scale(&ops::bmm_nt(&xp, &xp), 1.0 / (self.half as f32).sqrt());
-            let p = ops::masked_softmax(&scores, &side.mask);
-            ops::mul_mask_rows(&ops::bmm_nn(&p, &xp), &side.mask)
-        };
+        let scores = ops::scale(&ops::bmm_nt(&xp, &xp), 1.0 / (self.half as f32).sqrt());
+        let p = ops::masked_softmax(&scores, &side.mask);
+        let attn = ops::mul_mask_rows(&ops::bmm_nn(&p, &xp), &side.mask);
         let attn_d = self.attn_proj.forward(&attn);
         // Combine: λ·LSTM + (1−λ)·attention with a learned, differentiable λ.
         let lam = ops::sigmoid(&self.lambda);
@@ -109,11 +91,7 @@ impl PairModel for T3s {
         self.dim
     }
 
-    fn embed_nograd(&self, own: &SideBatch, _other: &SideBatch) -> Option<Vec<f32>> {
-        // The multi-head variant has no tape-free path yet.
-        if self.mha.is_some() {
-            return None;
-        }
+    fn embed_nograd(&self, own: &SideBatch, _other: &SideBatch) -> Vec<f32> {
         let (bs, m) = (own.batch_size(), own.max_len);
         assert!(m <= MAX_POSITIONS, "T3S: sequence longer than positional table");
         let (dh, d) = (self.half, self.dim);
@@ -158,17 +136,13 @@ impl PairModel for T3s {
         infer::recycle(attn_d);
         let out = infer::gather_last(&seq, bs, m, d, &own.last_idx);
         infer::recycle(seq);
-        Some(out)
+        out
     }
 
     /// Self-attention mixes every point with every other, so there is no
     /// O(1) incremental update — T3S streams through the windowed fallback
-    /// (full re-embed per append, window capped at [`MAX_POSITIONS`]). The
-    /// multi-head variant has no tape-free path and cannot stream at all.
+    /// (full re-embed per append, window capped at [`MAX_POSITIONS`]).
     fn stream_begin(&self) -> Option<super::ModelStream> {
-        if self.mha.is_some() {
-            return None;
-        }
         Some(super::ModelStream::window(MAX_POSITIONS))
     }
 
@@ -210,19 +184,6 @@ mod tests {
         let ef = m.encode_pairs(&PairBatch::build(&[&fwd], &[&fwd]));
         let er = m.encode_pairs(&PairBatch::build(&[&rev], &[&rev]));
         assert_ne!(ef.out_a.to_vec(), er.out_a.to_vec());
-    }
-
-    #[test]
-    fn multi_head_variant_builds_and_differs() {
-        let plain = T3s::new(&ModelConfig { dim: 8, seed: 6 });
-        let multi = T3s::with_heads(&ModelConfig { dim: 8, seed: 6 }, 2);
-        assert!(multi.params().num_scalars() > plain.params().num_scalars());
-        let (a, b) = (traj(0.2, 5), traj(0.7, 5));
-        let batch = PairBatch::build(&[&a], &[&b]);
-        let e1 = plain.encode_pairs(&batch);
-        let e2 = multi.encode_pairs(&batch);
-        assert_eq!(e2.out_a.shape(), &[1, 5, 8]);
-        assert_ne!(e1.out_a.to_vec(), e2.out_a.to_vec());
     }
 
     #[test]

@@ -110,7 +110,7 @@ impl PairModel for Tmn {
         self.matching
     }
 
-    fn embed_nograd(&self, own: &SideBatch, other: &SideBatch) -> Option<Vec<f32>> {
+    fn embed_nograd(&self, own: &SideBatch, other: &SideBatch) -> Vec<f32> {
         let (bs, m) = (own.batch_size(), own.max_len);
         let dh = self.embed.out_dim();
         let feats = own.feats.data();
@@ -143,7 +143,7 @@ impl PairModel for Tmn {
         infer::recycle(z);
         let out = infer::gather_last(&o, bs, m, self.dim, &own.last_idx);
         infer::recycle(o);
-        Some(out)
+        out
     }
 
     /// TMN-NM only: the matching variant's representations depend on the

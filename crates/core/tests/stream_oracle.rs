@@ -59,7 +59,7 @@ fn check_stream_oracle(model: &dyn PairModel, pts: &[Point]) {
         assert_eq!(stream.len(), i + 1);
         let grown = Trajectory::new(pts[..=i].to_vec());
         let side = SideBatch::build(&[&grown], i + 1);
-        let full = model.embed_nograd(&side, &side).unwrap();
+        let full = model.embed_nograd(&side, &side);
         assert_eq!(
             inc,
             full,
@@ -92,11 +92,9 @@ fn neutraj_stream_reads_the_warm_memory() {
 }
 
 #[test]
-fn pair_dependent_and_mha_models_have_no_stream() {
+fn pair_dependent_models_have_no_stream() {
     let cfg = ModelConfig { dim: 16, seed: 7 };
     assert!(ModelKind::Tmn.build(&cfg).stream_begin().is_none(), "matching TMN cannot stream");
-    let mha = tmn_core::models::T3s::with_heads(&cfg, 2);
-    assert!(mha.stream_begin().is_none(), "T3S-MHA has no tape-free path to fall back on");
 }
 
 #[test]

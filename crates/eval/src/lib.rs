@@ -24,13 +24,10 @@ mod timing;
 pub use correlation::{kendall_tau, pearson, spearman};
 pub use metrics::{evaluate, hitting_ratio, recall_at, top_k_indices, Evaluation};
 pub use sharded::evaluate_sharded;
-pub use store::{EmbeddingStore, StoreError};
-pub use search::{
-    embedding_distance, encode_all, encode_all_graphed, pairwise_query_distances,
-    predicted_distance_rows,
-};
+pub use store::EmbeddingStore;
+pub use search::{embedding_distance, encode_all, pairwise_query_distances, predicted_distance_rows};
 pub use timing::{
     time_embedding_distance, time_exact_pairwise_counted, time_inference_per_trajectory_counted,
-    time_inference_split, time_search_phases_detailed, EfficiencyRow, InferenceTimings,
-    QueryLatencies, SearchPhases, QUERIES_TOTAL, QUERY_EMBED_NS, QUERY_INDEX_NS, QUERY_RANK_NS,
+    time_search_phases_detailed, EfficiencyRow, QueryLatencies, SearchPhases, QUERIES_TOTAL,
+    QUERY_EMBED_NS, QUERY_INDEX_NS, QUERY_RANK_NS,
 };

@@ -6,17 +6,11 @@
 //! (query, candidate) pairs — the paper's Table III reflects exactly this
 //! cost asymmetry (0.072 s vs 0.00059 s per-trajectory inference).
 //!
-//! Encoding takes the tape-free fast path ([`PairModel::embed_nograd`])
-//! whenever the model provides one, falling back to the graphed forward
-//! under `no_grad` otherwise. The two are bitwise-identical; the fast path
-//! skips graph-node construction entirely. [`encode_all_graphed`] keeps the
-//! graphed path callable directly so the efficiency study can report model
-//! cost and autograd overhead as separate numbers — earlier revisions
-//! quoted a single per-trajectory figure that silently included graph
-//! construction.
+//! Encoding takes the tape-free path ([`PairModel::embed_nograd`]), which
+//! every model implements bitwise-identically to its graphed forward while
+//! skipping graph-node construction entirely.
 
-use tmn_autograd::{no_grad, ops};
-use tmn_core::{PairBatch, PairModel};
+use tmn_core::{PairBatch, PairModel, SideBatch};
 use tmn_obs::{metrics, trace, Span};
 use tmn_traj::Trajectory;
 
@@ -29,9 +23,8 @@ pub fn embedding_distance(a: &[f32], b: &[f32]) -> f64 {
 /// `d`-dim embedding per trajectory. Intended for models with
 /// `is_pair_dependent() == false`.
 ///
-/// Uses the model's tape-free fast path when it has one (bitwise-identical
-/// to the graphed forward, zero graph-node allocation); otherwise falls
-/// back to [`encode_all_graphed`]'s per-chunk logic under `no_grad`.
+/// Each chunk builds one [`SideBatch`], padded to its longest trajectory,
+/// and passes it as both sides of the tape-free forward.
 pub fn encode_all(model: &dyn PairModel, trajs: &[Trajectory], batch_size: usize) -> Vec<Vec<f32>> {
     assert!(batch_size > 0, "encode_all: batch_size must be positive");
     let _prof = Span::phase("search.encode_all");
@@ -39,54 +32,12 @@ pub fn encode_all(model: &dyn PairModel, trajs: &[Trajectory], batch_size: usize
     let mut out = Vec::with_capacity(trajs.len());
     for chunk in trajs.chunks(batch_size) {
         let refs: Vec<&Trajectory> = chunk.iter().collect();
-        let batch = PairBatch::build(&refs, &refs);
-        if let Some(flat) = model.embed_nograd(&batch.a, &batch.b) {
-            for row in 0..chunk.len() {
-                out.push(flat[row * d..(row + 1) * d].to_vec());
-            }
-        } else {
-            no_grad(|| encode_chunk_graphed(model, &batch, chunk.len(), &mut out));
-        }
+        let max_len = chunk.iter().map(Trajectory::len).max().unwrap_or(0);
+        let side = SideBatch::build(&refs, max_len);
+        let flat = model.embed_nograd(&side, &side);
+        out.extend(flat.chunks_exact(d).map(<[f32]>::to_vec));
     }
     out
-}
-
-/// Encode every trajectory through the *graphed* autograd forward (under
-/// `no_grad`), bypassing any tape-free fast path. The efficiency study
-/// times this against [`encode_all`] to separate model cost from
-/// graph-construction overhead.
-pub fn encode_all_graphed(
-    model: &dyn PairModel,
-    trajs: &[Trajectory],
-    batch_size: usize,
-) -> Vec<Vec<f32>> {
-    assert!(batch_size > 0, "encode_all_graphed: batch_size must be positive");
-    let _prof = Span::phase("search.encode_all_graphed");
-    let mut out = Vec::with_capacity(trajs.len());
-    no_grad(|| {
-        for chunk in trajs.chunks(batch_size) {
-            let refs: Vec<&Trajectory> = chunk.iter().collect();
-            let batch = PairBatch::build(&refs, &refs);
-            encode_chunk_graphed(model, &batch, chunk.len(), &mut out);
-        }
-    });
-    out
-}
-
-/// Graphed last-valid-step encoding of one self-paired chunk.
-fn encode_chunk_graphed(
-    model: &dyn PairModel,
-    batch: &PairBatch,
-    rows: usize,
-    out: &mut Vec<Vec<f32>>,
-) {
-    let d = model.dim();
-    let enc = model.encode_pairs(batch);
-    let last = ops::gather_time(&enc.out_a, &batch.a.last_idx);
-    let data = last.to_vec();
-    for row in 0..rows {
-        out.push(data[row * d..(row + 1) * d].to_vec());
-    }
 }
 
 /// Predicted distances from one query to every candidate for a
@@ -105,22 +56,12 @@ pub fn pairwise_query_distances(
         let queries: Vec<&Trajectory> = chunk.iter().map(|_| query).collect();
         let cands: Vec<&Trajectory> = chunk.iter().collect();
         let batch = PairBatch::build(&queries, &cands);
-        // Fast path: two tape-free passes (one per side of the pair).
-        if let Some(qa) = model.embed_nograd(&batch.a, &batch.b) {
-            let cb = model.embed_nograd(&batch.b, &batch.a).expect("fast path must be symmetric");
-            for row in 0..chunk.len() {
-                out.push(embedding_distance(&qa[row * d..(row + 1) * d], &cb[row * d..(row + 1) * d]));
-            }
-            continue;
+        // Two tape-free passes, one per side of the pair.
+        let qa = model.embed_nograd(&batch.a, &batch.b);
+        let cb = model.embed_nograd(&batch.b, &batch.a);
+        for row in 0..chunk.len() {
+            out.push(embedding_distance(&qa[row * d..(row + 1) * d], &cb[row * d..(row + 1) * d]));
         }
-        no_grad(|| {
-            let enc = model.encode_pairs(&batch);
-            let qa = ops::gather_time(&enc.out_a, &batch.a.last_idx).to_vec();
-            let cb = ops::gather_time(&enc.out_b, &batch.b.last_idx).to_vec();
-            for row in 0..chunk.len() {
-                out.push(embedding_distance(&qa[row * d..(row + 1) * d], &cb[row * d..(row + 1) * d]));
-            }
-        });
     }
     out
 }
@@ -163,6 +104,7 @@ pub fn predicted_distance_rows(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tmn_autograd::{no_grad, ops};
     use tmn_core::{ModelConfig, ModelKind};
     use tmn_traj::Point;
 
@@ -201,10 +143,22 @@ mod tests {
     #[test]
     fn fast_and_graphed_encodings_are_bitwise_equal() {
         let ts = trajs(7);
-        for kind in [ModelKind::Srn, ModelKind::T3s, ModelKind::TmnNm, ModelKind::Tmn] {
+        for kind in ModelKind::ALL {
             let model = kind.build(&ModelConfig { dim: 8, seed: 6 });
             let fast = encode_all(model.as_ref(), &ts, 3);
-            let graphed = encode_all_graphed(model.as_ref(), &ts, 3);
+            // Graphed oracle over the same chunks of 3 ragged trajectories:
+            // the training forward under `no_grad`, last valid step gathered.
+            let graphed: Vec<Vec<f32>> = no_grad(|| {
+                ts.chunks(3)
+                    .flat_map(|chunk| {
+                        let refs: Vec<&Trajectory> = chunk.iter().collect();
+                        let batch = PairBatch::build(&refs, &refs);
+                        let enc = model.encode_pairs(&batch);
+                        let last = ops::gather_time(&enc.out_a, &batch.a.last_idx).to_vec();
+                        last.chunks_exact(8).map(<[f32]>::to_vec).collect::<Vec<_>>()
+                    })
+                    .collect()
+            });
             assert_eq!(fast, graphed, "{kind}: fast path diverged from graphed forward");
         }
     }

@@ -1,17 +1,14 @@
-//! Persistent embedding stores: hold the encoded database, serialize it
-//! compactly, and search it by exact linear scan. Approximate search
-//! (sharded, int8-quantized, exact-reranked HNSW) is `tmn-serve`'s
-//! `ShardSet`, which bulk-loads from a store (`ShardSet::warm_load`).
+//! Persistent embedding stores: hold the encoded database, persist it, and
+//! search it by exact linear scan. Approximate search (sharded,
+//! int8-quantized, exact-reranked HNSW) is `tmn-serve`'s `ShardSet`, which
+//! bulk-loads from a store (`ShardSet::warm_load`).
 //!
-//! Two persistence paths share one search API:
-//!
-//! - the legacy in-RAM `TMNE` frame (little-endian: magic `TMNE` | version
-//!   u32 | dim u32 | count u32 | `count * dim` f32), decoded into an owned
-//!   buffer, and
-//! - the CRC-framed `tmn-store` embeddings file, opened as an mmap(2) view
-//!   and read **zero-copy**: [`EmbeddingStore::get`] hands out `&[f32]`
-//!   slices straight into the kernel mapping, so a multi-GB corpus costs
-//!   one open, not one materialization.
+//! A store is either built in memory or opened from the CRC-framed
+//! `tmn-store` embeddings file that [`EmbeddingStore::save`] writes. The
+//! file is opened as an mmap(2) view and read **zero-copy**:
+//! [`EmbeddingStore::get`] hands out `&[f32]` slices straight into the
+//! kernel mapping, so a multi-GB corpus costs one open, not one
+//! materialization.
 //!
 //! Every search method is backing-agnostic — owned and mapped stores with
 //! equal contents answer every query identically.
@@ -19,33 +16,10 @@
 use std::path::Path;
 use tmn_store::{EmbeddingsFile, EmbeddingsWriter};
 
-const MAGIC: &[u8; 4] = b"TMNE";
-const VERSION: u32 = 1;
-
-/// Errors from decoding an embedding buffer.
-#[derive(Debug, PartialEq, Eq)]
-pub enum StoreError {
-    BadMagic,
-    UnsupportedVersion(u32),
-    Truncated,
-}
-
-impl std::fmt::Display for StoreError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StoreError::BadMagic => write!(f, "not a TMN embedding store (bad magic)"),
-            StoreError::UnsupportedVersion(v) => write!(f, "unsupported version {v}"),
-            StoreError::Truncated => write!(f, "buffer ends mid-record"),
-        }
-    }
-}
-
-impl std::error::Error for StoreError {}
-
 /// Where the row-major `count * dim` f32 block lives.
 #[derive(Debug, Clone)]
 enum Backing {
-    /// Heap buffer (built in memory or decoded from the `TMNE` frame).
+    /// Heap buffer built in memory.
     Owned(Vec<f32>),
     /// CRC-verified mmap(2) view of a `tmn-store` embeddings file; reads
     /// are zero-copy slices into the mapping.
@@ -139,45 +113,6 @@ impl EmbeddingStore {
         all.truncate(k);
         all
     }
-
-    /// Serialize to the framed binary format.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let data = self.data();
-        let mut out = Vec::with_capacity(16 + data.len() * 4);
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.extend_from_slice(&(self.dim as u32).to_le_bytes());
-        out.extend_from_slice(&(self.len() as u32).to_le_bytes());
-        for v in data {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        out
-    }
-
-    /// Decode from the framed binary format.
-    pub fn from_bytes(buf: &[u8]) -> Result<EmbeddingStore, StoreError> {
-        if buf.len() < 16 {
-            return Err(StoreError::Truncated);
-        }
-        if &buf[..4] != MAGIC {
-            return Err(StoreError::BadMagic);
-        }
-        let version = u32::from_le_bytes(buf[4..8].try_into().unwrap());
-        if version != VERSION {
-            return Err(StoreError::UnsupportedVersion(version));
-        }
-        let dim = u32::from_le_bytes(buf[8..12].try_into().unwrap()) as usize;
-        let count = u32::from_le_bytes(buf[12..16].try_into().unwrap()) as usize;
-        let expected = 16 + 4 * dim * count;
-        if buf.len() < expected {
-            return Err(StoreError::Truncated);
-        }
-        let data = buf[16..expected]
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        Ok(EmbeddingStore { dim, backing: Backing::Owned(data) })
-    }
 }
 
 #[cfg(test)]
@@ -194,15 +129,6 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip() {
-        let s = store();
-        let back = EmbeddingStore::from_bytes(&s.to_bytes()).unwrap();
-        assert_eq!(back, s);
-        assert_eq!(back.len(), 4);
-        assert_eq!(back.dim(), 2);
-    }
-
-    #[test]
     fn knn_exact_orders_by_distance() {
         let s = store();
         let nn = s.knn_exact(&[0.1, 0.0], 3);
@@ -212,22 +138,15 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_buffers_rejected() {
-        assert_eq!(EmbeddingStore::from_bytes(b"nope"), Err(StoreError::Truncated));
-        let mut buf = store().to_bytes();
-        buf[0] = b'X';
-        assert_eq!(EmbeddingStore::from_bytes(&buf), Err(StoreError::BadMagic));
-        let mut buf2 = store().to_bytes();
-        buf2.truncate(buf2.len() - 4);
-        assert_eq!(EmbeddingStore::from_bytes(&buf2), Err(StoreError::Truncated));
-    }
-
-    #[test]
     fn empty_store() {
         let s = EmbeddingStore::from_vectors(&[]);
         assert!(s.is_empty());
-        let back = EmbeddingStore::from_bytes(&s.to_bytes()).unwrap();
-        assert!(back.is_empty());
+        let path = std::env::temp_dir().join(format!("tmn-eval-empty-{}.emb", std::process::id()));
+        s.save(&path).unwrap();
+        let back = EmbeddingStore::open_mmap(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert!(back.is_mapped() && back.is_empty());
+        assert_eq!(back, s);
     }
 
     #[test]

@@ -66,11 +66,8 @@ pub fn time_exact_pairwise_counted(
 /// pair-dependent models this measures self-paired encoding, matching how
 /// the paper reports TMN's per-trajectory inference cost.
 ///
-/// Measures the serving path: `encode_all` takes the tape-free fast path
-/// when the model has one. Earlier revisions always went through the
-/// graphed forward, so the reported "inference" time silently included
-/// autograd graph construction; use [`time_inference_split`] to see both
-/// numbers side by side.
+/// Measures the serving path: `encode_all` runs the tape-free forward, so
+/// the number excludes autograd graph construction.
 pub fn time_inference_per_trajectory_counted(
     model: &dyn PairModel,
     trajs: &[Trajectory],
@@ -80,44 +77,6 @@ pub fn time_inference_per_trajectory_counted(
     let emb = crate::search::encode_all(model, trajs, batch_size);
     std::hint::black_box(&emb);
     (start.elapsed().as_secs_f64(), trajs.len() as u64)
-}
-
-/// Per-trajectory inference wall clock, split by forward implementation.
-#[derive(Debug, Clone, Copy, serde::Serialize)]
-pub struct InferenceTimings {
-    /// Total seconds for the serving path (tape-free when available).
-    pub nograd_s: f64,
-    /// Total seconds for the graphed autograd forward under `no_grad`.
-    pub graphed_s: f64,
-    /// Trajectories encoded by each pass.
-    pub trajectories: u64,
-}
-
-impl InferenceTimings {
-    /// Graphed-over-fast ratio — the autograd overhead factor.
-    pub fn speedup(&self) -> f64 {
-        self.graphed_s / self.nograd_s.max(1e-12)
-    }
-}
-
-/// Time both forward implementations over the same trajectories so Table
-/// III can report model cost (tape-free) and autograd overhead (graphed)
-/// as separate numbers. For models without a fast path the two passes run
-/// the same code and the ratio is ≈ 1.
-pub fn time_inference_split(
-    model: &dyn PairModel,
-    trajs: &[Trajectory],
-    batch_size: usize,
-) -> InferenceTimings {
-    let start = Instant::now();
-    let emb = crate::search::encode_all(model, trajs, batch_size);
-    std::hint::black_box(&emb);
-    let nograd_s = start.elapsed().as_secs_f64();
-    let start = Instant::now();
-    let emb_g = crate::search::encode_all_graphed(model, trajs, batch_size);
-    std::hint::black_box(&emb_g);
-    let graphed_s = start.elapsed().as_secs_f64();
-    InferenceTimings { nograd_s, graphed_s, trajectories: trajs.len() as u64 }
 }
 
 /// Mean seconds to compute the Euclidean similarity of two `d`-dim
@@ -281,15 +240,6 @@ mod tests {
         let (t, n) = time_inference_per_trajectory_counted(model.as_ref(), &trajs(4, 10), 4);
         assert!(t > 0.0 && t.is_finite());
         assert_eq!(n, 4);
-    }
-
-    #[test]
-    fn inference_split_reports_both_paths() {
-        let model = ModelKind::Srn.build(&ModelConfig { dim: 8, seed: 1 });
-        let t = time_inference_split(model.as_ref(), &trajs(6, 10), 3);
-        assert!(t.nograd_s > 0.0 && t.graphed_s > 0.0);
-        assert_eq!(t.trajectories, 6);
-        assert!(t.speedup().is_finite() && t.speedup() > 0.0);
     }
 
     #[test]

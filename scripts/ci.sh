@@ -1,8 +1,22 @@
 #!/usr/bin/env bash
 # CI gate: release build, full test suite, zero-warning clippy.
 # Run from the repository root: ./scripts/ci.sh
+#
+# CI leaves the tree as it found it. Bins that write `results/` relative to
+# the working directory run from a temporary directory, and inside a git work
+# tree the gate fails if `git status --porcelain` differs at the end.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+root="$PWD"
+tmp_dir="$(mktemp -d)"
+trap 'rm -rf "$tmp_dir"' EXIT
+# Run a tmn-bench bin with the temporary directory as its working directory.
+in_tmp_dir() { (cd "$tmp_dir" && cargo run --release --manifest-path "$root/Cargo.toml" -p tmn-bench "$@"); }
+in_git=false
+if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+  in_git=true
+  status_before="$(git status --porcelain)"
+fi
 
 echo "== build (release) =="
 cargo build --release --workspace
@@ -18,20 +32,20 @@ cargo test -q --workspace
 echo "== clippy (-D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== recurrent graph-node budget (<=3 nodes per step x direction) =="
+echo "== recurrent graph-node budget (<=3 nodes per step) =="
 cargo run --release -p tmn-bench --bin profile -- --nodes
 
-echo "== profile smoke (observability artifacts) =="
-cargo run --release -p tmn-bench --bin profile -- --quick
-test -s results/PROFILE_ops.json
-test -s results/PROFILE_telemetry.jsonl
-cargo run --release -p tmn-bench --bin profile -- --check
+echo "== profile smoke (observability artifacts, written under the temporary directory) =="
+in_tmp_dir --bin profile -- --quick
+test -s "$tmp_dir/results/PROFILE_ops.json"
+test -s "$tmp_dir/results/PROFILE_telemetry.jsonl"
+in_tmp_dir --bin profile -- --check
 
 echo "== bench_diff self-check (regression gate dry run) =="
 # Identity diff of a results file against itself must pass; a synthetic
 # perturbation of every gated metric must be caught. Two-run usage:
 #   cargo run --release -p tmn-bench --bin bench_diff -- base.json head.json
-cargo run --release -p tmn-bench --bin bench_diff -- --self-check results/PROFILE_ops.json
+in_tmp_dir --bin bench_diff -- --self-check results/PROFILE_ops.json
 if [ -s results/BENCH_throughput.json ]; then
   cargo run --release -p tmn-bench --bin bench_diff -- --self-check results/BENCH_throughput.json
 fi
@@ -50,5 +64,15 @@ cargo run --release -p tmn-bench --bin stream_smoke
 
 echo "== trace smoke (span trees, chrome export, exemplar linkage, queue metrics) =="
 cargo run --release -p tmn-bench --bin trace_smoke
+
+if $in_git; then
+  echo "== work tree unchanged by CI =="
+  status_after="$(git status --porcelain)"
+  if [ "$status_after" != "$status_before" ]; then
+    echo "CI changed the work tree (git status --porcelain before vs after):"
+    diff <(printf '%s\n' "$status_before") <(printf '%s\n' "$status_after") || true
+    exit 1
+  fi
+fi
 
 echo "CI OK"

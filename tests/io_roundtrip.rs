@@ -67,8 +67,9 @@ fn embedding_store_file_roundtrip() {
         .collect();
     let emb = encode_all(model.as_ref(), &trajs, 8);
     let store = EmbeddingStore::from_vectors(&emb);
-    std::fs::write(&path, store.to_bytes()).unwrap();
-    let back = EmbeddingStore::from_bytes(&std::fs::read(&path).unwrap()).unwrap();
+    store.save(&path).unwrap();
+    let back = EmbeddingStore::open_mmap(&path).unwrap();
+    assert!(back.is_mapped());
     assert_eq!(back, store);
     // Search works on the reloaded store.
     let nn = back.knn_exact(back.get(2), 1);
