@@ -1,11 +1,12 @@
 //! Property tests: the cache-blocked GEMM kernels agree with the retained
 //! naive reference on arbitrary shapes (including non-tile-multiple sizes),
-//! and the intra-op-parallelized `bmm_nn`/`bmm_nt` backward passes stay
-//! correct (finite differences) and bit-stable across thread counts.
+//! their absolute output bits are pinned per SIMD dispatch, and the
+//! intra-op-parallelized `bmm_nn`/`bmm_nt` backward passes stay correct
+//! (finite differences) and bit-stable across thread counts.
 
 use proptest::prelude::*;
 use tmn_autograd::kernels::{self, reference};
-use tmn_autograd::{ops, set_intra_op_threads, Tensor};
+use tmn_autograd::{ops, set_intra_op_threads, simd, Tensor};
 
 fn assert_rel_close(got: &[f32], want: &[f32], ctx: &str) -> Result<(), String> {
     prop_assert_eq!(got.len(), want.len());
@@ -71,6 +72,86 @@ proptest! {
         reference::mm_nn(a, b, m, k, n, &mut want);
         assert_rel_close(&got, &want, "mm_nn accumulate")?;
     }
+}
+
+/// `MC` of `kernels.rs`: the blocked kernel's row-block height.
+const MC: usize = 128;
+
+/// Shapes that reach the blocked kernels: every row count around the two
+/// tile heights (4 scalar, 6 AVX2) and past one `MC` block, with `n` off
+/// both tile widths (37 and 45 are neither multiples of 8 nor of 16) and
+/// `k` past one `KC` stripe (519 > 256); then the model's own shapes
+/// (one served or streamed step, the batch-16 encode, 56-point
+/// pre-projections).
+fn fingerprint_shapes() -> Vec<(usize, usize, usize)> {
+    let mut shapes = Vec::new();
+    for m in [1, 2, 5, 6, 7, 16, 64, MC + 5] {
+        shapes.push((m, 519, 37));
+        shapes.push((m, 40, 45));
+    }
+    shapes.extend([
+        (1, 32, 128),
+        (1, 16, 128),
+        (1, 32, 64),
+        (16, 32, 128),
+        (56, 16, 128),
+        (56, 32, 32),
+    ]);
+    shapes
+}
+
+/// 64-bit FNV-1a over the output bits of `mm_nn`, `mm_nt` and `mm_tn` at
+/// every fingerprint shape, each accumulating into a nonzero `out`.
+fn gemm_fingerprint() -> u64 {
+    fn fill(len: usize, seed: u32) -> Vec<f32> {
+        let mut state = seed.wrapping_mul(2654435761).max(1);
+        (0..len)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 17;
+                state ^= state << 5;
+                (state as f32 / u32::MAX as f32) * 2.0 - 1.0
+            })
+            .collect()
+    }
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut absorb = |out: &[f32]| {
+        for byte in out.iter().flat_map(|v| v.to_bits().to_le_bytes()) {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for (m, k, n) in fingerprint_shapes() {
+        let a = fill(m * k, 21);
+        let mut out = fill(m * n, 22);
+        kernels::mm_nn(&a, &fill(k * n, 23), m, k, n, &mut out);
+        absorb(&out);
+        let mut out = fill(m * n, 24);
+        kernels::mm_nt(&a, &fill(n * k, 25), m, k, n, &mut out);
+        absorb(&out);
+        let mut out = fill(k * n, 26);
+        kernels::mm_tn(&a, &fill(m * n, 27), m, k, n, &mut out);
+        absorb(&out);
+    }
+    hash
+}
+
+/// The blocked GEMM's absolute output bits, one constant per dispatch.
+/// The model goldens train at dim 8, where every `mm_nn` takes the naive
+/// kernel, and the parity suites compare two paths that share a kernel,
+/// so this is the test that notices a bit change inside the blocked
+/// kernels. A deliberate change must update the constant and explain why.
+#[test]
+fn blocked_gemm_bits_are_pinned() {
+    const SCALAR: u64 = 0x20f9_d062_cc8d_5330;
+    const AVX2: u64 = 0x5eb1_ced5_b13f_332f;
+    if simd::active() == simd::Dispatch::Avx2Fma {
+        assert_eq!(gemm_fingerprint(), AVX2, "AVX2 GEMM output bits changed");
+    }
+    simd::force_scalar(true);
+    let scalar = gemm_fingerprint();
+    simd::force_scalar(false);
+    assert_eq!(scalar, SCALAR, "scalar GEMM output bits changed");
 }
 
 /// Central-difference gradcheck on a scalar function of two bmm operands.
