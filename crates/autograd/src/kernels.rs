@@ -1,12 +1,16 @@
 //! Dense f32 GEMM kernels shared by every matmul-family op.
 //!
 //! The blocked path follows the classic GEBP decomposition: the K dimension
-//! is split into `KC`-deep stripes, rows into `MC`-tall blocks, and both
-//! operands are repacked into contiguous `MR`×`KC` / `KC`×`NR` panels so the
-//! register-tiled microkernel streams packed memory linearly regardless of
-//! the source layout (normal, transposed-B, transposed-A). Edge tiles are
-//! zero-padded inside the packed panels, so the microkernel itself is
-//! branch-free; the masked part is only the final `+=` write-back.
+//! is split into `KC`-deep stripes, rows into `MC`-tall blocks, and the
+//! register-tiled microkernel reads A from `MR`×`KC` panels and B from
+//! `KC`×`NR` panels. A is always repacked, so the microkernel streams it
+//! linearly whatever its source layout (normal or transposed-A). B is read
+//! with a row stride: a row-major B (`mm_nn`, `mm_tn`) already holds every
+//! full `NR`-wide panel in order, so those panels are read in place with
+//! stride `n`. Only a ragged last panel, and every panel of the transposed
+//! B of `mm_nt`, is packed (stride `NR`). Edge tiles are zero-padded inside
+//! the packed panels, so the microkernel itself is branch-free; the masked
+//! part is only the final `+=` write-back.
 //!
 //! All three entry points keep the naive kernels' contract: `out` is
 //! *accumulated into*, not overwritten. Small problems fall back to the
@@ -17,7 +21,8 @@
 //! a 6×16 AVX2+FMA register tile where the CPU supports it, the portable
 //! scalar 4×8 tile everywhere else. The packing code is generic over the
 //! tile shape, so both paths share the same blocked skeleton (and the same
-//! zero-padded edge handling).
+//! zero-padded edge handling). A one-row `mm_nn` on AVX2 skips the tile:
+//! [`gemm_one_row`] computes its row 0 directly, with the same bits.
 
 use crate::simd;
 use std::cell::RefCell;
@@ -63,15 +68,23 @@ thread_local! {
 ///
 /// Dispatch is **row-stable** ([`ROW_STABLE_MIN_KN`]): the naive/blocked
 /// choice looks at `k·n` only, so each output row's bits are independent
-/// of how many rows the call covers. `mm_nt`/`mm_tn` keep the total-flops
-/// rule — nothing requires row stability of them, and backward-pass GEMMs
-/// prefer the cheaper heuristic.
+/// of how many rows the call covers. The blocked kernel reads `b` in
+/// place, so a weight matrix is not repacked per call, and one row on
+/// AVX2 takes [`gemm_one_row`] instead of a zero-padded tile: the same
+/// per-row arithmetic, so that choice may look at `m`. `mm_nt`/`mm_tn`
+/// keep the total-flops rule — nothing requires row stability of them, and
+/// backward-pass GEMMs prefer the cheaper heuristic.
 pub fn mm_nn(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
     if k * n < ROW_STABLE_MIN_KN {
         reference::mm_nn(a, b, m, k, n, out);
-    } else {
-        gemm(m, k, n, |i, p| a[i * k + p], |p, j| b[p * n + j], out);
+        return;
     }
+    #[cfg(target_arch = "x86_64")]
+    if m == 1 && simd::active() == simd::Dispatch::Avx2Fma {
+        gemm_one_row(a, b, k, n, out);
+        return;
+    }
+    gemm(m, k, n, |i, p| a[i * k + p], BLayout::RowMajor(b), out);
 }
 
 /// `out[m,n] += a[m,k] · b[n,k]ᵀ` (`b` stored row-major `n`×`k`).
@@ -79,7 +92,7 @@ pub fn mm_nt(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]
     if m * n * k < BLOCKED_MIN_FLOPS {
         reference::mm_nt(a, b, m, k, n, out);
     } else {
-        gemm(m, k, n, |i, p| a[i * k + p], |p, j| b[j * k + p], out);
+        gemm(m, k, n, |i, p| a[i * k + p], BLayout::Transposed(b), out);
     }
 }
 
@@ -89,58 +102,99 @@ pub fn mm_tn(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]
         reference::mm_tn(a, b, m, k, n, out);
     } else {
         // As a plain GEMM this is C[k,n] += A'[k,m]·B[m,n] with A'(i,p) read
-        // down a column of `a`.
-        gemm(k, m, n, |i, p| a[p * k + i], |p, j| b[p * n + j], out);
+        // down a column of `a`; B is `b` itself, row-major.
+        gemm(k, m, n, |i, p| a[p * k + i], BLayout::RowMajor(b), out);
     }
 }
 
-/// Cache-blocked `out[m,n] += A·B` with layout-erasing element accessors.
+/// How the caller stores the `k`×`n` GEMM operand B.
+#[derive(Clone, Copy)]
+enum BLayout<'a> {
+    /// `B[p][j] = b[p * n + j]`: full panels are read in place.
+    RowMajor(&'a [f32]),
+    /// `B[p][j] = b[j * k + p]` (`b` is `n`×`k`): every panel is packed.
+    Transposed(&'a [f32]),
+}
+
+/// Pack the `TN`-wide panel of B at rows `p0..p0 + dst.len() / TN` and
+/// columns `j0..`, kk-major so a microkernel reads `TN`-wide rows in order
+/// (stride `TN`). Columns past `n` are zero.
+fn pack_b_panel<const TN: usize>(
+    b: BLayout<'_>,
+    k: usize,
+    n: usize,
+    p0: usize,
+    j0: usize,
+    dst: &mut [f32],
+) {
+    let nr = TN.min(n - j0);
+    for (kk, row) in dst.chunks_exact_mut(TN).enumerate() {
+        let p = p0 + kk;
+        match b {
+            BLayout::RowMajor(b) => row[..nr].copy_from_slice(&b[p * n + j0..p * n + j0 + nr]),
+            BLayout::Transposed(b) => {
+                for (jj, d) in row[..nr].iter_mut().enumerate() {
+                    *d = b[(j0 + jj) * k + p];
+                }
+            }
+        }
+        row[nr..].fill(0.0);
+    }
+}
+
+/// Cache-blocked `out[m,n] += A·B`, with A behind a layout-erasing element
+/// accessor.
 ///
-/// `a_at(i, p)` must return `A[i][p]` (`i < m`, `p < k`); `b_at(p, j)` must
-/// return `B[p][j]` (`j < n`). The accessors are only called during packing,
-/// so their indexing cost is O(m·k + k·n) per K-stripe, not O(m·n·k).
-fn gemm<FA, FB>(m: usize, k: usize, n: usize, a_at: FA, b_at: FB, out: &mut [f32])
+/// `a_at(i, p)` must return `A[i][p]` (`i < m`, `p < k`). It is only called
+/// during packing, so its indexing cost is O(m·k) per K-stripe, not
+/// O(m·n·k).
+fn gemm<FA>(m: usize, k: usize, n: usize, a_at: FA, b: BLayout<'_>, out: &mut [f32])
 where
     FA: Fn(usize, usize) -> f32,
-    FB: Fn(usize, usize) -> f32,
 {
     match simd::active() {
         #[cfg(target_arch = "x86_64")]
-        simd::Dispatch::Avx2Fma => gemm_blocked::<{ simd::avx2::MR }, { simd::avx2::NR }, FA, FB>(
+        simd::Dispatch::Avx2Fma => gemm_blocked::<{ simd::avx2::MR }, { simd::avx2::NR }, FA>(
             m,
             k,
             n,
             a_at,
-            b_at,
+            b,
             out,
             simd::avx2::microkernel,
         ),
-        _ => gemm_blocked::<MR, NR, FA, FB>(m, k, n, a_at, b_at, out, microkernel_scalar::<MR, NR>),
+        _ => gemm_blocked::<MR, NR, FA>(m, k, n, a_at, b, out, microkernel_scalar::<MR, NR>),
     }
 }
 
-/// Micro-kernel signature: packed A panel, packed B panel, depth, and the
-/// `TM`×`TN` register accumulator tile.
-type MicroKernel<const TM: usize, const TN: usize> = fn(&[f32], &[f32], usize, &mut [[f32; TN]; TM]);
+/// Micro-kernel signature: packed A panel, B panel, B row stride, depth,
+/// and the `TM`×`TN` register accumulator tile.
+type MicroKernel<const TM: usize, const TN: usize> =
+    fn(&[f32], &[f32], usize, usize, &mut [[f32; TN]; TM]);
 
 /// Cache-blocked skeleton, generic over the `TM`×`TN` register tile.
-fn gemm_blocked<const TM: usize, const TN: usize, FA, FB>(
+fn gemm_blocked<const TM: usize, const TN: usize, FA>(
     m: usize,
     k: usize,
     n: usize,
     a_at: FA,
-    b_at: FB,
+    b: BLayout<'_>,
     out: &mut [f32],
     micro: MicroKernel<TM, TN>,
 ) where
     FA: Fn(usize, usize) -> f32,
-    FB: Fn(usize, usize) -> f32,
 {
     debug_assert_eq!(out.len(), m * n);
     if m == 0 || n == 0 || k == 0 {
         return;
     }
     let n_panels = n.div_ceil(TN);
+    // Panels `0..in_place` are read straight from a row-major B; the rest
+    // are packed into PACK_B.
+    let in_place = match b {
+        BLayout::RowMajor(_) => n / TN,
+        BLayout::Transposed(_) => 0,
+    };
     let kc_max = KC.min(k);
     let m_panels_max = MC.min(m).div_ceil(TM);
     PACK_A.with(|pa| {
@@ -148,21 +202,13 @@ fn gemm_blocked<const TM: usize, const TN: usize, FA, FB>(
             let mut ap = pa.borrow_mut();
             let mut bp = pb.borrow_mut();
             ap.resize(m_panels_max * kc_max * TM, 0.0);
-            bp.resize(n_panels * kc_max * TN, 0.0);
+            bp.resize((n_panels - in_place) * kc_max * TN, 0.0);
 
             for p0 in (0..k).step_by(KC) {
                 let kc = KC.min(k - p0);
-                // Pack B stripe: panel jp holds B[p0..p0+kc, jp*TN..+TN],
-                // kk-major so the microkernel reads TN-wide rows in order.
-                for jp in 0..n_panels {
-                    let j0 = jp * TN;
-                    for kk in 0..kc {
-                        let dst = &mut bp[(jp * kc + kk) * TN..(jp * kc + kk + 1) * TN];
-                        for (jj, d) in dst.iter_mut().enumerate() {
-                            let j = j0 + jj;
-                            *d = if j < n { b_at(p0 + kk, j) } else { 0.0 };
-                        }
-                    }
+                for jp in in_place..n_panels {
+                    let dst = &mut bp[(jp - in_place) * kc * TN..(jp - in_place + 1) * kc * TN];
+                    pack_b_panel::<TN>(b, k, n, p0, jp * TN, dst);
                 }
                 for i0 in (0..m).step_by(MC) {
                     let mc = MC.min(m - i0);
@@ -187,13 +233,22 @@ fn gemm_blocked<const TM: usize, const TN: usize, FA, FB>(
                     for jp in 0..n_panels {
                         let j0 = jp * TN;
                         let nr = TN.min(n - j0);
-                        let bpan = &bp[jp * kc * TN..(jp + 1) * kc * TN];
+                        // A full panel of a row-major B, read in place with
+                        // row stride `n`, holds the same values in the same
+                        // order as its packed copy would.
+                        let (bpan, ldb) = match b {
+                            BLayout::RowMajor(b) if jp < in_place => (&b[p0 * n + j0..], n),
+                            _ => (
+                                &bp[(jp - in_place) * kc * TN..(jp - in_place + 1) * kc * TN],
+                                TN,
+                            ),
+                        };
                         for ip in 0..m_panels {
                             let i_base = i0 + ip * TM;
                             let mr = TM.min(m_end - i_base);
                             let apan = &ap[ip * kc * TM..(ip + 1) * kc * TM];
                             let mut acc = [[0.0f32; TN]; TM];
-                            micro(apan, bpan, kc, &mut acc);
+                            micro(apan, bpan, ldb, kc, &mut acc);
                             for (ii, acc_row) in acc.iter().enumerate().take(mr) {
                                 let row = (i_base + ii) * n + j0;
                                 for (o, &v) in out[row..row + nr].iter_mut().zip(acc_row) {
@@ -208,7 +263,55 @@ fn gemm_blocked<const TM: usize, const TN: usize, FA, FB>(
     });
 }
 
-/// `acc[TM][TN] += Ap·Bp` over one packed `kc`-deep panel pair.
+/// `out[1,n] += a[1,k] · b[k,n]` on AVX2: row 0 of the 6×16 tile without
+/// packing A or multiplying the tile's five zero rows.
+///
+/// It walks the same `KC` stripes, runs each output lane's FMA chain over
+/// the same `a` and `b` values in the same order, and writes back the same
+/// way (`0 + acc` in the kernel, then `out +=`), so every output is bit for
+/// bit what [`gemm_blocked`] gives row 0 — which keeps [`mm_nn`] row-stable.
+/// Each broadcast of `a` feeds [`simd::avx2::ROW_PANELS`] panels, enough
+/// independent FMA chains to hide their latency. Full panels are read in
+/// place; a ragged last panel is packed into PACK_B, as in the tile path.
+#[cfg(target_arch = "x86_64")]
+fn gemm_one_row(a: &[f32], b: &[f32], k: usize, n: usize, out: &mut [f32]) {
+    use simd::avx2::{row_kernel, NR, ROW_PANELS};
+    debug_assert_eq!(out.len(), n);
+    fn add_into(out: &mut [f32], acc: &[[f32; NR]]) {
+        for (o, panel) in out.chunks_mut(NR).zip(acc) {
+            for (o, &v) in o.iter_mut().zip(panel) {
+                *o += v;
+            }
+        }
+    }
+    let wide_end = n / (ROW_PANELS * NR) * (ROW_PANELS * NR);
+    for p0 in (0..k).step_by(KC) {
+        let kc = KC.min(k - p0);
+        let a = &a[p0..p0 + kc];
+        for j0 in (0..wide_end).step_by(ROW_PANELS * NR) {
+            let mut acc = [[0.0f32; NR]; ROW_PANELS];
+            row_kernel(a, &b[p0 * n + j0..], n, &mut acc);
+            add_into(&mut out[j0..j0 + ROW_PANELS * NR], &acc);
+        }
+        for j0 in (wide_end..n).step_by(NR) {
+            let mut acc = [[0.0f32; NR]; 1];
+            if j0 + NR <= n {
+                row_kernel(a, &b[p0 * n + j0..], n, &mut acc);
+            } else {
+                PACK_B.with(|pb| {
+                    let mut bp = pb.borrow_mut();
+                    bp.resize(kc * NR, 0.0);
+                    pack_b_panel::<NR>(BLayout::RowMajor(b), k, n, p0, j0, &mut bp[..kc * NR]);
+                    row_kernel(a, &bp, NR, &mut acc);
+                });
+            }
+            add_into(&mut out[j0..], &acc);
+        }
+    }
+}
+
+/// `acc[TM][TN] += Ap·Bp` over one `kc`-deep panel pair: `Ap` packed,
+/// `Bp` with row `kk` at `bp[kk * ldb..]`.
 ///
 /// The fixed-size array reads let LLVM keep the full accumulator tile in
 /// registers and vectorize the `TN`-wide FMA row.
@@ -216,13 +319,14 @@ fn gemm_blocked<const TM: usize, const TN: usize, FA, FB>(
 fn microkernel_scalar<const TM: usize, const TN: usize>(
     ap: &[f32],
     bp: &[f32],
+    ldb: usize,
     kc: usize,
     acc: &mut [[f32; TN]; TM],
 ) {
-    debug_assert!(ap.len() >= kc * TM && bp.len() >= kc * TN);
+    debug_assert!(ap.len() >= kc * TM && (kc == 0 || bp.len() >= (kc - 1) * ldb + TN));
     for kk in 0..kc {
         let a = &ap[kk * TM..kk * TM + TM];
-        let b = &bp[kk * TN..kk * TN + TN];
+        let b = &bp[kk * ldb..kk * ldb + TN];
         for (acc_row, &av) in acc.iter_mut().zip(a) {
             for (o, &bv) in acc_row.iter_mut().zip(b) {
                 *o += av * bv;
@@ -373,23 +477,81 @@ mod tests {
         // The streaming contract: row i of an m-row call equals the same
         // row computed alone, bit for bit, on both sides of the
         // ROW_STABLE_MIN_KN boundary (naive k·n = 2·16, blocked k·n = 16·64
-        // — the embedding and gate-preprojection shapes).
-        for &(k, n) in &[(2usize, 16usize), (8, 64), (16, 64), (16, 16), (32, 128)] {
-            for &m in &[2usize, 7, 64, 300] {
-                let a = fill(m * k, 11);
-                let b = fill(k * n, 12);
-                let mut full = vec![0.0f32; m * n];
-                mm_nn(&a, &b, m, k, n, &mut full);
-                for i in [0, m / 2, m - 1] {
-                    let mut row = vec![0.0f32; n];
-                    mm_nn(&a[i * k..(i + 1) * k], &b, 1, k, n, &mut row);
-                    let full_row = &full[i * n..(i + 1) * n];
-                    assert!(
-                        row.iter().zip(full_row).all(|(x, y)| x.to_bits() == y.to_bits()),
-                        "row {i} of {m}x{k}x{n} not bitwise row-stable"
-                    );
+        // — the embedding and gate-preprojection shapes), with a ragged
+        // last panel (n = 40) and past one KC stripe (k = 300), under both
+        // dispatches: one row alone takes the one-row path on AVX2, and
+        // every call reads full B panels in place.
+        for scalar in [false, true] {
+            simd::force_scalar(scalar);
+            for &(k, n) in &[
+                (2usize, 16usize),
+                (8, 64),
+                (16, 64),
+                (16, 16),
+                (32, 128),
+                (32, 40),
+                (300, 24),
+            ] {
+                for &m in &[2usize, 3, 5, 7, 64, 300] {
+                    let a = fill(m * k, 11);
+                    let b = fill(k * n, 12);
+                    let mut full = vec![0.0f32; m * n];
+                    mm_nn(&a, &b, m, k, n, &mut full);
+                    for i in [0, m / 2, m - 1] {
+                        let mut row = vec![0.0f32; n];
+                        mm_nn(&a[i * k..(i + 1) * k], &b, 1, k, n, &mut row);
+                        let full_row = &full[i * n..(i + 1) * n];
+                        assert!(
+                            row.iter()
+                                .zip(full_row)
+                                .all(|(x, y)| x.to_bits() == y.to_bits()),
+                            "row {i} of {m}x{k}x{n} not bitwise row-stable (scalar: {scalar})"
+                        );
+                    }
                 }
             }
+        }
+        simd::force_scalar(false);
+    }
+
+    /// `(PACK_A, PACK_B)` capacities after one `mm_nn` on a fresh thread.
+    fn pack_capacities(scalar: bool, m: usize, k: usize, n: usize) -> (usize, usize) {
+        std::thread::spawn(move || {
+            simd::force_scalar(scalar);
+            let mut out = vec![0.0f32; m * n];
+            mm_nn(&fill(m * k, 13), &fill(k * n, 14), m, k, n, &mut out);
+            (
+                PACK_A.with(|p| p.borrow().capacity()),
+                PACK_B.with(|p| p.borrow().capacity()),
+            )
+        })
+        .join()
+        .unwrap()
+    }
+
+    #[test]
+    fn mm_nn_packs_no_full_b_panel() {
+        // A row-major B already is its panels, so the recurrent step and
+        // the batch encode copy no weights per call, at any batch size.
+        for scalar in [false, true] {
+            for m in [1, 16, 64] {
+                let (_, b) = pack_capacities(scalar, m, 32, 128);
+                assert_eq!(b, 0, "{m}x32x128 packed B (scalar: {scalar})");
+            }
+        }
+        // A ragged last panel is still packed: 44 is off the scalar tile's
+        // 8 columns, 40 off the AVX2 tile's 16.
+        assert!(
+            pack_capacities(true, 1, 32, 44).1 > 0,
+            "ragged panel not packed"
+        );
+        if simd::active() == simd::Dispatch::Avx2Fma {
+            assert!(
+                pack_capacities(false, 1, 32, 40).1 > 0,
+                "ragged panel not packed"
+            );
+            // One row on AVX2 skips the tile, and with it the packed A.
+            assert_eq!(pack_capacities(false, 1, 32, 128).0, 0, "one row packed A");
         }
     }
 

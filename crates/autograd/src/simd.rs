@@ -244,27 +244,33 @@ pub(crate) mod avx2 {
     pub const MR: usize = 6;
     pub const NR: usize = 16;
 
-    /// `acc[6][16] += Ap·Bp` over one packed `kc`-deep panel pair; safe
-    /// wrapper asserting the panel extents (the caller's dispatch proved
-    /// avx2+fma).
-    pub fn microkernel(ap: &[f32], bp: &[f32], kc: usize, acc: &mut [[f32; NR]; MR]) {
-        assert!(ap.len() >= kc * MR && bp.len() >= kc * NR);
+    /// `acc[6][16] += Ap·Bp` over one `kc`-deep panel pair: `Ap` packed,
+    /// `Bp` with row `kk` at `bp[kk * ldb..]` (`ldb` = 16 for a packed
+    /// panel, the row length of B for one read in place). Safe wrapper
+    /// asserting the panel extents (the caller's dispatch proved avx2+fma).
+    pub fn microkernel(ap: &[f32], bp: &[f32], ldb: usize, kc: usize, acc: &mut [[f32; NR]; MR]) {
+        assert!(ap.len() >= kc * MR && (kc == 0 || bp.len() >= (kc - 1) * ldb + NR));
         // SAFETY: bounds asserted above; this path is only selected when the
         // one-time feature detection reported avx2+fma.
-        unsafe { microkernel_impl(ap.as_ptr(), bp.as_ptr(), kc, acc) }
+        unsafe { microkernel_impl(ap.as_ptr(), bp.as_ptr(), ldb, kc, acc) }
     }
 
+    /// # Safety
+    ///
+    /// The CPU supports avx2 and fma; `ap` is readable for `kc * MR`
+    /// floats and `bp` for `(kc - 1) * ldb + NR` when `kc > 0`.
     #[target_feature(enable = "avx2,fma")]
     unsafe fn microkernel_impl(
         ap: *const f32,
         bp: *const f32,
+        ldb: usize,
         kc: usize,
         acc: &mut [[f32; NR]; MR],
     ) {
         let mut c = [[_mm256_setzero_ps(); 2]; MR];
         for kk in 0..kc {
-            let b0 = _mm256_loadu_ps(bp.add(kk * NR));
-            let b1 = _mm256_loadu_ps(bp.add(kk * NR + 8));
+            let b0 = _mm256_loadu_ps(bp.add(kk * ldb));
+            let b1 = _mm256_loadu_ps(bp.add(kk * ldb + 8));
             for (i, ci) in c.iter_mut().enumerate() {
                 let a = _mm256_broadcast_ss(&*ap.add(kk * MR + i));
                 ci[0] = _mm256_fmadd_ps(a, b0, ci[0]);
@@ -276,6 +282,52 @@ pub(crate) mod avx2 {
             let hi = _mm256_add_ps(_mm256_loadu_ps(row.as_ptr().add(8)), ci[1]);
             _mm256_storeu_ps(row.as_mut_ptr(), lo);
             _mm256_storeu_ps(row.as_mut_ptr().add(8), hi);
+        }
+    }
+
+    /// 16-wide panels [`row_kernel`] keeps in flight: 8 independent FMA
+    /// chains (two per panel) cover the FMA latency on two ports, in 8 of
+    /// the 16 ymm registers.
+    pub const ROW_PANELS: usize = 4;
+
+    /// `acc[q] += a · B[.., 16q..16q + 16]` over `P` adjacent 16-wide panels
+    /// of `b` (row `kk` at `b[kk * ldb..]`), `a.len()` deep: row 0 of
+    /// [`microkernel`], lane for lane — the same FMA chain from zero and the
+    /// same `acc + c` — without the other five rows or a packed A.
+    pub fn row_kernel<const P: usize>(a: &[f32], b: &[f32], ldb: usize, acc: &mut [[f32; NR]; P]) {
+        let kc = a.len();
+        assert!(kc == 0 || b.len() >= (kc - 1) * ldb + P * NR);
+        // SAFETY: bounds asserted above; this path is only selected when the
+        // one-time feature detection reported avx2+fma.
+        unsafe { row_kernel_impl(a.as_ptr(), b.as_ptr(), ldb, kc, acc) }
+    }
+
+    /// # Safety
+    ///
+    /// The CPU supports avx2 and fma; `a` is readable for `kc` floats and
+    /// `b` for `(kc - 1) * ldb + P * NR` when `kc > 0`.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn row_kernel_impl<const P: usize>(
+        a: *const f32,
+        b: *const f32,
+        ldb: usize,
+        kc: usize,
+        acc: &mut [[f32; NR]; P],
+    ) {
+        let mut c = [[_mm256_setzero_ps(); 2]; P];
+        for kk in 0..kc {
+            let av = _mm256_broadcast_ss(&*a.add(kk));
+            let row = b.add(kk * ldb);
+            for (q, cq) in c.iter_mut().enumerate() {
+                cq[0] = _mm256_fmadd_ps(av, _mm256_loadu_ps(row.add(q * NR)), cq[0]);
+                cq[1] = _mm256_fmadd_ps(av, _mm256_loadu_ps(row.add(q * NR + 8)), cq[1]);
+            }
+        }
+        for (panel, cq) in acc.iter_mut().zip(&c) {
+            let lo = _mm256_add_ps(_mm256_loadu_ps(panel.as_ptr()), cq[0]);
+            let hi = _mm256_add_ps(_mm256_loadu_ps(panel.as_ptr().add(8)), cq[1]);
+            _mm256_storeu_ps(panel.as_mut_ptr(), lo);
+            _mm256_storeu_ps(panel.as_mut_ptr().add(8), hi);
         }
     }
 }

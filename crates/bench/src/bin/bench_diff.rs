@@ -5,7 +5,9 @@
 //! dotted paths, classifies each metric's improvement direction from its
 //! name, applies a noise threshold (default ±5 %, per-metric overrides),
 //! prints a markdown delta table, and exits nonzero when any gated metric
-//! regressed beyond its threshold.
+//! regressed beyond its threshold or is missing from the head file (a
+//! measurement that disappears must not pass as "no regression").
+//! Informational keys may come and go.
 //!
 //! ```text
 //! bench_diff <base.json> <head.json> [--threshold 0.05] [--metric SUBSTR=FRAC]...
@@ -21,7 +23,8 @@
 //!   `*time*`, `*imbalance*` (max/mean shard occupancy: 1.0 is perfect,
 //!   growth is skew)
 //! - anything else is informational: reported, never gated (strings such as
-//!   `simd_dispatch` never reach classification — only numeric leaves do).
+//!   `simd_dispatch` never reach classification — only numeric leaves do),
+//!   and so is every leaf under a histogram's `buckets[..]` list.
 //!
 //! `--self-check FILE` is the CI smoke: FILE diffed against itself must
 //! pass (exit 0 path), and against a synthetically perturbed copy (every
@@ -40,6 +43,13 @@ enum Direction {
 }
 
 fn classify(path: &str) -> Direction {
+    // A histogram snapshot lists only its non-empty buckets, so
+    // `buckets[i]` is a different bucket from one run to the next: its
+    // bounds are layout, not a measurement, and must neither gate nor
+    // count as a gated metric that went missing. The percentiles gate.
+    if path.contains(".buckets[") {
+        return Direction::Info;
+    }
     let leaf = path.rsplit('.').next().unwrap_or(path).to_ascii_lowercase();
     // Exemplar fields ride along with histogram snapshots but carry one
     // arbitrary traced observation plus its trace id — not aggregates, so
@@ -129,8 +139,9 @@ struct DiffRow {
     regressed: bool,
 }
 
-/// Diff two flattened metric maps. Only keys present in both are gated;
-/// added/removed keys are reported separately by the caller.
+/// Diff two flattened metric maps. Only keys present in both are compared;
+/// added/removed keys are reported separately by the caller, and a removed
+/// gated key fails the diff.
 fn diff_metrics(
     base: &[(String, f64)],
     head: &[(String, f64)],
@@ -248,6 +259,17 @@ fn run_diff(base: &str, head: &str, thresholds: &Thresholds, verbose: bool) -> R
     if !removed.is_empty() {
         println!("removed (present only in base): {removed:?}");
     }
+    // An unmeasured field is written as `null` (or left out), which
+    // `flatten` skips: a gated metric of base that head lacks is a
+    // measurement that stopped being taken, not "no regression".
+    let missing: Vec<&str> = base_flat
+        .iter()
+        .map(|(k, _)| k.as_str())
+        .filter(|k| !head_keys.contains(k) && classify(k) != Direction::Info)
+        .collect();
+    for path in &missing {
+        eprintln!("MISSING: gated metric {path} is not in {head}");
+    }
     for r in &regressions {
         eprintln!(
             "REGRESSION: {} {} → {} ({:+.2}% vs ±{:.0}% gate)",
@@ -258,7 +280,7 @@ fn run_diff(base: &str, head: &str, thresholds: &Thresholds, verbose: bool) -> R
             r.threshold * 100.0
         );
     }
-    Ok(regressions.is_empty())
+    Ok(regressions.is_empty() && missing.is_empty())
 }
 
 /// The CI smoke: the file against itself must pass, and against a
@@ -464,6 +486,15 @@ mod tests {
     }
 
     #[test]
+    fn histogram_bucket_bounds_never_gate() {
+        // Index-keyed buckets of two runs are unrelated buckets.
+        assert_eq!(classify("metrics.histograms[1].buckets[42].lo_ns"), Direction::Info);
+        assert_eq!(classify("metrics.histograms[1].buckets[42].hi_ns"), Direction::Info);
+        assert_eq!(classify("metrics.histograms[1].buckets[42].count"), Direction::Info);
+        assert_eq!(classify("metrics.histograms[1].p99_ns"), Direction::LowerBetter);
+    }
+
+    #[test]
     fn stream_metrics_gate_in_their_classified_directions() {
         let thresholds = default_thresholds();
         // A 20% append-throughput drop and a 20% p99 growth both fire…
@@ -595,6 +626,36 @@ mod tests {
         let caught = rows.iter().filter(|r| r.regressed).count();
         assert_eq!(caught, gated, "every gated metric worsened 3x threshold must fire");
         assert!(rows.iter().filter(|r| r.direction == Direction::Info).all(|r| !r.regressed));
+    }
+
+    #[test]
+    fn a_gated_metric_missing_from_head_fails_the_diff() {
+        let dir = std::env::temp_dir().join(format!("bench-diff-missing-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let write = |name: &str, json: &str| {
+            let path = dir.join(name);
+            std::fs::write(&path, json).unwrap();
+            path.to_string_lossy().into_owned()
+        };
+        let base = write(
+            "base.json",
+            r#"{"store": {"peak_bytes": 100, "tile": 256}, "qps": 10}"#,
+        );
+        let unmeasured = write(
+            "unmeasured.json",
+            r#"{"store": {"peak_bytes": null}, "qps": 10}"#,
+        );
+        let no_info = write(
+            "no_info.json",
+            r#"{"store": {"peak_bytes": 100}, "qps": 10}"#,
+        );
+        let t = default_thresholds();
+        assert_eq!(run_diff(&base, &base, &t, false), Ok(true));
+        // An unmeasured field is written as null: a gated metric went missing.
+        assert_eq!(run_diff(&base, &unmeasured, &t, false), Ok(false));
+        // Informational keys (`tile`) may disappear.
+        assert_eq!(run_diff(&base, &no_info, &t, false), Ok(true));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -122,7 +122,7 @@ struct TraceRow {
     flight_captured: usize,
 }
 
-#[derive(serde::Serialize)]
+#[derive(serde::Serialize, Default)]
 struct StoreRow {
     /// Trajectories in the on-disk corpus (10x the table-experiment corpus
     /// at every scale — the point of the data plane is headroom).
@@ -140,9 +140,9 @@ struct StoreRow {
     gt_blocked_wall_s: f64,
     /// Wall seconds for the dense in-RAM build of the same matrix.
     gt_inram_wall_s: f64,
-    /// Heap high-water growth during the blocked build (0 when the bench
-    /// was compiled without `--features mem`).
-    gt_blocked_peak_bytes: usize,
+    /// Heap high-water growth during the blocked build; `null` when the
+    /// bench was compiled without `--features mem` and measured nothing.
+    gt_blocked_peak_bytes: Option<usize>,
     /// What a fully materialized n x n f64 matrix would take — the
     /// footprint the blocked path must stay under.
     gt_full_matrix_bytes: usize,
@@ -567,12 +567,13 @@ fn bench_store(scale: Scale) -> StoreRow {
     )
     .expect("blocked ground truth");
     let gt_blocked_wall_s = t0.elapsed().as_secs_f64();
-    let gt_blocked_peak_bytes = memory::peak_bytes().saturating_sub(live_before) as usize;
+    let gt_blocked_peak_bytes = peak_growth_bytes(live_before);
     let gt_full_matrix_bytes = corpus_n * corpus_n * std::mem::size_of::<f64>();
-    if memory::is_active() {
+    if let Some(peak) = gt_blocked_peak_bytes {
         assert!(
-            gt_blocked_peak_bytes < gt_full_matrix_bytes,
-            "blocked ground truth peaked at {gt_blocked_peak_bytes} B, not below the              {gt_full_matrix_bytes} B full-materialization footprint"
+            peak < gt_full_matrix_bytes,
+            "blocked ground truth peaked at {peak} B, not below the \
+             {gt_full_matrix_bytes} B full-materialization footprint"
         );
     }
 
@@ -626,6 +627,14 @@ fn bench_store(scale: Scale) -> StoreRow {
     }
 }
 
+/// Heap high-water growth since `live_before`, or `None` without the
+/// counting allocator: `memory::peak_bytes()` then reads 0, and a 0 in a
+/// lower-better `_bytes` field would read as a perfect score.
+fn peak_growth_bytes(live_before: u64) -> Option<usize> {
+    use tmn_obs::memory;
+    memory::is_active().then(|| memory::peak_bytes().saturating_sub(live_before) as usize)
+}
+
 fn main() {
     let scale = Scale::from_args();
     let host_cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
@@ -655,8 +664,18 @@ fn main() {
         });
     }
 
+    // The last two shapes are the TMN-NM recurrent GEMM at dim 32 (h·W_hh,
+    // k = 32, n = 4·32): one served or streamed step, then the batch-16
+    // encode. New rows go last so existing `kernels[i]` paths keep their
+    // meaning across captures.
     let mut kernel_rows = Vec::new();
-    for (m, k, n) in [(64usize, 64usize, 64usize), (128, 128, 128), (48, 256, 48)] {
+    for (m, k, n) in [
+        (64usize, 64usize, 64usize),
+        (128, 128, 128),
+        (48, 256, 48),
+        (1, 32, 128),
+        (16, 32, 128),
+    ] {
         let a: Vec<f32> = (0..m * k).map(|x| (x % 17) as f32 / 17.0 - 0.5).collect();
         let b: Vec<f32> = (0..k * n).map(|x| (x % 13) as f32 / 13.0 - 0.5).collect();
         let flops = 2 * m * k * n;
@@ -706,14 +725,16 @@ fn main() {
     let store = bench_store(scale);
     eprintln!(
         "  store (n={}): corpus {:.1} MB at {:.0} MB/s, mmap open {:.0}ns, \
-         GT blocked {:.1}s (peak {} B) vs in-RAM {:.1}s (full {} B), \
+         GT blocked {:.1}s (peak {}) vs in-RAM {:.1}s (full {} B), \
          eval {:.0} q/s on {} shards, HR-10 {:.3}",
         store.corpus_n,
         store.file_bytes as f64 / 1e6,
         store.build_mb_s,
         store.mmap_open_ns,
         store.gt_blocked_wall_s,
-        store.gt_blocked_peak_bytes,
+        store
+            .gt_blocked_peak_bytes
+            .map_or("unmeasured".to_string(), |b| format!("{b} B")),
         store.gt_inram_wall_s,
         store.gt_full_matrix_bytes,
         store.eval_qps,
@@ -790,4 +811,20 @@ fn main() {
             .to_string(),
     };
     write_json("BENCH_throughput", &report).expect("write results");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn unmeasured_peak_is_null_not_zero() {
+        assert_eq!(peak_growth_bytes(0).is_some(), tmn_obs::memory::is_active());
+        let row = StoreRow {
+            gt_blocked_peak_bytes: None,
+            ..Default::default()
+        };
+        let json = serde_json::to_string(&row).unwrap();
+        assert!(json.contains("\"gt_blocked_peak_bytes\":null"), "{json}");
+    }
 }

@@ -65,6 +65,18 @@ cargo run --release -p tmn-bench --bin stream_smoke
 echo "== trace smoke (span trees, chrome export, exemplar linkage, queue metrics) =="
 cargo run --release -p tmn-bench --bin trace_smoke
 
+echo "== benchmark output checks (every workload once, 2 s each) =="
+# Each run checks its own outputs and exits nonzero when one is wrong:
+# served top-10 bitwise equal to ShardSet::query, streamed vectors bitwise
+# equal to re-embeds (a one-row stream step against a multi-row
+# pre-projection), DTW cells bitwise equal to Metric::Dtw. Run from the
+# temporary directory so the benchmark's temporary files land there.
+for workload in query_adhoc query_cached stream_append train_tmn exact_gt; do
+  (cd "$tmp_dir" && cargo run --release --offline --locked --quiet \
+    --manifest-path "$root/tmnbench/Cargo.toml" -- \
+    --workload "$workload" --seed 42 --seconds 2 --trace 0)
+done
+
 if $in_git; then
   echo "== work tree unchanged by CI =="
   status_after="$(git status --porcelain)"
