@@ -187,7 +187,7 @@ impl<'a> Trainer<'a> {
 
     /// Stop training (without saving) once this many gradient steps have
     /// been applied across the whole run. Simulates a kill at an arbitrary
-    /// point for the resume tests and the CI smoke.
+    /// point for the resume tests (`resume_determinism.rs`).
     pub fn with_step_limit(mut self, limit: u64) -> Trainer<'a> {
         self.step_limit = Some(limit);
         self

@@ -3,6 +3,12 @@
 //! weights bit-identical to the uninterrupted run — for the serial trainer
 //! and the data-parallel one — including when `latest` is corrupted and
 //! recovery falls back to `prev`.
+//!
+//! The off-cadence and corrupted-`latest` cases run at two widths. At
+//! `dim: 8` every forward `mm_nn` stays on the naive kernel; at `dim: 16`
+//! the LSTM GEMMs (k·n = 1024 ≥ `ROW_STABLE_MIN_KN`) run the blocked
+//! kernel and its thread-local pack buffers, so resume is checked through
+//! both.
 
 use tmn_core::{
     CheckpointStore, LoadedFrom, ModelConfig, ModelKind, TrainConfig, Trainer,
@@ -54,12 +60,19 @@ fn config(threads: usize) -> TrainConfig {
     }
 }
 
-const MCFG: ModelConfig = ModelConfig { dim: 8, seed: 9 };
+/// Model widths the off-cadence and corrupted-`latest` cases run at (see
+/// the module docs).
+const DIMS: [usize; 2] = [8, 16];
+
+fn mcfg(dim: usize) -> ModelConfig {
+    ModelConfig { dim, seed: 9 }
+}
 
 fn build_trainer<'a>(
     model: &'a dyn tmn_core::PairModel,
     train: &'a [Trajectory],
     dmat: &'a DistanceMatrix,
+    dim: usize,
     cfg: TrainConfig,
 ) -> Trainer<'a> {
     let threads = cfg.threads;
@@ -74,18 +87,18 @@ fn build_trainer<'a>(
         None,
     );
     if threads > 1 {
-        trainer.with_replicas(ModelKind::Tmn, MCFG)
+        trainer.with_replicas(ModelKind::Tmn, mcfg(dim))
     } else {
         trainer
     }
 }
 
 /// Uninterrupted run → (weight fingerprint, per-epoch loss bits).
-fn run_full(threads: usize) -> (u64, Vec<u32>) {
+fn run_full(threads: usize, dim: usize) -> (u64, Vec<u32>) {
     let train = toy_set(12);
     let dmat = DistanceMatrix::compute(&train, Metric::Dtw, &MetricParams::default(), 1);
-    let model = ModelKind::Tmn.build(&MCFG);
-    let mut trainer = build_trainer(model.as_ref(), &train, &dmat, config(threads));
+    let model = ModelKind::Tmn.build(&mcfg(dim));
+    let mut trainer = build_trainer(model.as_ref(), &train, &dmat, dim, config(threads));
     let stats = trainer.train();
     (model.params().fingerprint(), stats.epochs.iter().map(|e| e.loss.to_bits()).collect())
 }
@@ -93,8 +106,13 @@ fn run_full(threads: usize) -> (u64, Vec<u32>) {
 /// Kill at `kill_at` steps, then resume in a fresh trainer (fresh model,
 /// fresh RNG — everything must come off disk). Optionally corrupt `latest`
 /// first to force `prev` recovery.
-fn run_interrupted(threads: usize, kill_at: u64, corrupt_latest: bool) -> (u64, Vec<u32>) {
-    let tmp = TempDir::new(&format!("t{threads}_k{kill_at}_c{corrupt_latest}"));
+fn run_interrupted(
+    threads: usize,
+    dim: usize,
+    kill_at: u64,
+    corrupt_latest: bool,
+) -> (u64, Vec<u32>) {
+    let tmp = TempDir::new(&format!("t{threads}_d{dim}_k{kill_at}_c{corrupt_latest}"));
     let train = toy_set(12);
     let dmat = DistanceMatrix::compute(&train, Metric::Dtw, &MetricParams::default(), 1);
     let cfg = TrainConfig {
@@ -103,9 +121,9 @@ fn run_interrupted(threads: usize, kill_at: u64, corrupt_latest: bool) -> (u64, 
         ..config(threads)
     };
     {
-        let model = ModelKind::Tmn.build(&MCFG);
-        let mut trainer =
-            build_trainer(model.as_ref(), &train, &dmat, cfg.clone()).with_step_limit(kill_at);
+        let model = ModelKind::Tmn.build(&mcfg(dim));
+        let mut trainer = build_trainer(model.as_ref(), &train, &dmat, dim, cfg.clone())
+            .with_step_limit(kill_at);
         trainer.train();
         assert_eq!(trainer.steps(), kill_at, "step limit did not halt the run");
     }
@@ -118,8 +136,8 @@ fn run_interrupted(threads: usize, kill_at: u64, corrupt_latest: bool) -> (u64, 
     }
     // "New process": model seeded differently on purpose — resume must
     // overwrite every weight from the checkpoint.
-    let model = ModelKind::Tmn.build(&ModelConfig { dim: 8, seed: 777 });
-    let mut trainer = build_trainer(model.as_ref(), &train, &dmat, cfg);
+    let model = ModelKind::Tmn.build(&ModelConfig { dim, seed: 777 });
+    let mut trainer = build_trainer(model.as_ref(), &train, &dmat, dim, cfg);
     let from = trainer.resume_latest().expect("resume from checkpoint pair");
     if corrupt_latest {
         assert_eq!(from, LoadedFrom::Prev, "corrupt latest must fall back to prev");
@@ -138,38 +156,44 @@ fn run_interrupted(threads: usize, kill_at: u64, corrupt_latest: bool) -> (u64, 
 
 #[test]
 fn serial_resume_is_bit_identical() {
-    let (full_fp, full_losses) = run_full(1);
-    // Kill mid-epoch, off the checkpoint cadence (step 5, checkpoints at 2/4).
-    let (resumed_fp, resumed_losses) = run_interrupted(1, 5, false);
-    assert_eq!(full_fp, resumed_fp, "threads=1 resumed weights diverged");
-    // Epochs completed after the resume must replay the same losses.
-    let tail = &full_losses[full_losses.len() - resumed_losses.len()..];
-    assert_eq!(tail, &resumed_losses[..], "threads=1 resumed loss curve diverged");
+    for dim in DIMS {
+        let (full_fp, full_losses) = run_full(1, dim);
+        // Kill mid-epoch, off the checkpoint cadence (step 5, checkpoints at 2/4).
+        let (resumed_fp, resumed_losses) = run_interrupted(1, dim, 5, false);
+        assert_eq!(full_fp, resumed_fp, "threads=1 dim={dim} resumed weights diverged");
+        // Epochs completed after the resume must replay the same losses.
+        let tail = &full_losses[full_losses.len() - resumed_losses.len()..];
+        assert_eq!(tail, &resumed_losses[..], "threads=1 dim={dim} resumed loss curve diverged");
+    }
 }
 
 #[test]
 fn parallel_resume_is_bit_identical() {
-    let (full_fp, full_losses) = run_full(4);
-    let (resumed_fp, resumed_losses) = run_interrupted(4, 5, false);
-    assert_eq!(full_fp, resumed_fp, "threads=4 resumed weights diverged");
-    let tail = &full_losses[full_losses.len() - resumed_losses.len()..];
-    assert_eq!(tail, &resumed_losses[..], "threads=4 resumed loss curve diverged");
+    for dim in DIMS {
+        let (full_fp, full_losses) = run_full(4, dim);
+        let (resumed_fp, resumed_losses) = run_interrupted(4, dim, 5, false);
+        assert_eq!(full_fp, resumed_fp, "threads=4 dim={dim} resumed weights diverged");
+        let tail = &full_losses[full_losses.len() - resumed_losses.len()..];
+        assert_eq!(tail, &resumed_losses[..], "threads=4 dim={dim} resumed loss curve diverged");
+    }
 }
 
 #[test]
 fn corrupted_latest_recovers_from_prev_and_stays_deterministic() {
-    let (full_fp, _) = run_full(1);
-    // Resuming from the older `prev` checkpoint replays more steps, but the
-    // replay is deterministic, so the final weights still match exactly.
-    let (resumed_fp, _) = run_interrupted(1, 5, true);
-    assert_eq!(full_fp, resumed_fp, "prev-recovery resume diverged");
+    for dim in DIMS {
+        let (full_fp, _) = run_full(1, dim);
+        // Resuming from the older `prev` checkpoint replays more steps, but the
+        // replay is deterministic, so the final weights still match exactly.
+        let (resumed_fp, _) = run_interrupted(1, dim, 5, true);
+        assert_eq!(full_fp, resumed_fp, "dim={dim} prev-recovery resume diverged");
+    }
 }
 
 #[test]
 fn resume_at_checkpoint_boundary_is_bit_identical() {
-    let (full_fp, _) = run_full(1);
+    let (full_fp, _) = run_full(1, 8);
     // Kill exactly on the cadence: the checkpoint captures the kill point
     // itself and the resume replays nothing.
-    let (resumed_fp, _) = run_interrupted(1, 4, false);
+    let (resumed_fp, _) = run_interrupted(1, 8, 4, false);
     assert_eq!(full_fp, resumed_fp, "boundary resume diverged");
 }

@@ -38,7 +38,9 @@ impl From<std::io::Error> for IoError {
 /// Read `traj_id,lon,lat` CSV from any reader. Lines starting with `#` and a
 /// header line starting with a non-numeric id are skipped. Consecutive rows
 /// sharing an id form one trajectory; ids need not be sorted globally, but a
-/// trajectory's rows must be contiguous.
+/// trajectory's rows must be contiguous. A non-finite coordinate (`nan`,
+/// `inf`, or a literal too large for `f64`) is a parse error: no distance
+/// or ranking downstream is defined on it.
 pub fn read_csv(reader: impl BufRead) -> Result<Vec<Trajectory>, IoError> {
     let mut out: Vec<Trajectory> = Vec::new();
     let mut current_id: Option<String> = None;
@@ -65,6 +67,12 @@ pub fn read_csv(reader: impl BufRead) -> Result<Vec<Trajectory>, IoError> {
                 })
             }
         };
+        if !(lon.is_finite() && lat.is_finite()) {
+            return Err(IoError::Parse {
+                line: lineno + 1,
+                what: format!("non-finite coordinate in {trimmed:?}"),
+            });
+        }
         if current_id.as_deref() != Some(id) {
             if !current.is_empty() {
                 out.push(Trajectory::new(std::mem::take(&mut current)));
@@ -91,7 +99,9 @@ pub fn write_csv(writer: impl Write, trajs: &[Trajectory]) -> std::io::Result<()
     w.flush()
 }
 
-/// Read JSON Lines: each line a JSON array of `[lon, lat]` pairs.
+/// Read JSON Lines: each line a JSON array of `[lon, lat]` pairs. As in
+/// [`read_csv`], a non-finite coordinate (an overflowing literal such as
+/// `1e999`) is a parse error.
 pub fn read_jsonl(reader: impl BufRead) -> Result<Vec<Trajectory>, IoError> {
     let mut out = Vec::new();
     for (lineno, line) in reader.lines().enumerate() {
@@ -99,12 +109,17 @@ pub fn read_jsonl(reader: impl BufRead) -> Result<Vec<Trajectory>, IoError> {
         if line.trim().is_empty() {
             continue;
         }
+        let parse_err = |what: String| IoError::Parse { line: lineno + 1, what };
         let coords: Vec<(f64, f64)> =
             serde_json::from_str::<Vec<[f64; 2]>>(&line)
-                .map_err(|e| IoError::Parse { line: lineno + 1, what: e.to_string() })?
+                .map_err(|e| parse_err(e.to_string()))?
                 .into_iter()
                 .map(|[lon, lat]| (lon, lat))
                 .collect();
+        let bad = coords.iter().position(|(lon, lat)| !(lon.is_finite() && lat.is_finite()));
+        if let Some(i) = bad {
+            return Err(parse_err(format!("non-finite coordinate at point {i}")));
+        }
         out.push(Trajectory::from_coords(&coords));
     }
     Ok(out)
@@ -176,19 +191,23 @@ mod tests {
 
     #[test]
     fn csv_bad_row_reports_line() {
-        let data = "0,1.0,2.0\n0,not,a-number\n";
-        match read_csv(Cursor::new(data)) {
-            Err(IoError::Parse { line, .. }) => assert_eq!(line, 2),
-            other => panic!("expected parse error, got {other:?}"),
+        for bad in ["not,a-number", "nan,2.0", "1.0,inf", "-infinity,2.0", "1e999,2.0"] {
+            let data = format!("0,1.0,2.0\n0,{bad}\n");
+            match read_csv(Cursor::new(data)) {
+                Err(IoError::Parse { line, .. }) => assert_eq!(line, 2, "{bad}"),
+                other => panic!("expected parse error for {bad:?}, got {other:?}"),
+            }
         }
     }
 
     #[test]
     fn jsonl_bad_line_reports_line() {
-        let data = "[[1.0,2.0]]\nnot json\n";
-        match read_jsonl(Cursor::new(data)) {
-            Err(IoError::Parse { line, .. }) => assert_eq!(line, 2),
-            other => panic!("expected parse error, got {other:?}"),
+        for bad in ["not json", "[[1e999,2.0]]", "[[1.0,2.0],[1.0,-1e999]]"] {
+            let data = format!("[[1.0,2.0]]\n{bad}\n");
+            match read_jsonl(Cursor::new(data)) {
+                Err(IoError::Parse { line, .. }) => assert_eq!(line, 2, "{bad}"),
+                other => panic!("expected parse error for {bad:?}, got {other:?}"),
+            }
         }
     }
 

@@ -27,7 +27,7 @@ pub use sharded::evaluate_sharded;
 pub use store::EmbeddingStore;
 pub use search::{embedding_distance, encode_all, pairwise_query_distances, predicted_distance_rows};
 pub use timing::{
-    time_embedding_distance, time_exact_pairwise_counted, time_inference_per_trajectory_counted,
-    time_search_phases_detailed, EfficiencyRow, QueryLatencies, SearchPhases, QUERIES_TOTAL,
-    QUERY_EMBED_NS, QUERY_INDEX_NS, QUERY_RANK_NS,
+    time_embedding_distance, time_exact_pairwise_counted, time_search_phases_detailed,
+    EfficiencyRow, QueryLatencies, SearchPhases, QUERIES_TOTAL, QUERY_EMBED_NS, QUERY_INDEX_NS,
+    QUERY_RANK_NS,
 };

@@ -58,6 +58,54 @@ pub fn recall_at(pred_row: &[f64], true_row: &[f64], k: usize, t: usize, query: 
     tr.iter().filter(|x| p.contains(x)).count() as f64 / k as f64
 }
 
+/// One query's scores: everything the reduction needs.
+#[derive(Clone, Copy)]
+pub(crate) struct QueryScores {
+    hr10: f64,
+    hr50: f64,
+    r10_50: f64,
+    rho: Option<f64>,
+}
+
+/// HR-10, HR-50, R10@50 and Spearman for query `query`, from its predicted
+/// and true distance rows.
+pub(crate) fn score_query(pred_row: &[f64], true_row: &[f64], query: usize) -> QueryScores {
+    QueryScores {
+        hr10: hitting_ratio(pred_row, true_row, 10, query),
+        hr50: hitting_ratio(pred_row, true_row, 50, query),
+        r10_50: recall_at(pred_row, true_row, 10, 50, query),
+        rho: crate::spearman(pred_row, true_row),
+    }
+}
+
+/// Average `queries` per-query scores, summed in the order given. Every
+/// evaluator reduces through here, so the same scores in the same order
+/// give the same bits.
+pub(crate) fn reduce(scores: impl IntoIterator<Item = QueryScores>, queries: usize) -> Evaluation {
+    let mut hr10 = 0.0;
+    let mut hr50 = 0.0;
+    let mut r10_50 = 0.0;
+    let mut rho_sum = 0.0;
+    let mut rho_n = 0usize;
+    for sc in scores {
+        hr10 += sc.hr10;
+        hr50 += sc.hr50;
+        r10_50 += sc.r10_50;
+        if let Some(rho) = sc.rho {
+            rho_sum += rho;
+            rho_n += 1;
+        }
+    }
+    let n = queries.max(1) as f64;
+    Evaluation {
+        hr10: hr10 / n,
+        hr50: hr50 / n,
+        r10_50: r10_50 / n,
+        spearman: (rho_n > 0).then(|| rho_sum / rho_n as f64),
+        queries,
+    }
+}
+
 /// Aggregate HR-10 / HR-50 / R10@50 over a set of queries.
 ///
 /// `pred_rows[q]` and `true_rows[q]` are distance rows from query
@@ -66,28 +114,9 @@ pub fn recall_at(pred_row: &[f64], true_row: &[f64], k: usize, t: usize, query: 
 pub fn evaluate(pred_rows: &[Vec<f64>], true_rows: &[Vec<f64>], queries: &[usize]) -> Evaluation {
     assert_eq!(pred_rows.len(), queries.len(), "one prediction row per query");
     assert_eq!(true_rows.len(), queries.len(), "one truth row per query");
-    let mut hr10 = 0.0;
-    let mut hr50 = 0.0;
-    let mut r10_50 = 0.0;
-    let mut rho_sum = 0.0;
-    let mut rho_n = 0usize;
-    for ((p, t), &q) in pred_rows.iter().zip(true_rows).zip(queries) {
-        hr10 += hitting_ratio(p, t, 10, q);
-        hr50 += hitting_ratio(p, t, 50, q);
-        r10_50 += recall_at(p, t, 10, 50, q);
-        if let Some(rho) = crate::spearman(p, t) {
-            rho_sum += rho;
-            rho_n += 1;
-        }
-    }
-    let n = queries.len().max(1) as f64;
-    Evaluation {
-        hr10: hr10 / n,
-        hr50: hr50 / n,
-        r10_50: r10_50 / n,
-        spearman: (rho_n > 0).then(|| rho_sum / rho_n as f64),
-        queries: queries.len(),
-    }
+    let scores =
+        pred_rows.iter().zip(true_rows).zip(queries).map(|((p, t), &q)| score_query(p, t, q));
+    reduce(scores, queries.len())
 }
 
 #[cfg(test)]

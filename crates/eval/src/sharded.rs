@@ -11,26 +11,17 @@
 //! Determinism contract: per-query scores land in a slot array indexed by
 //! query position and are reduced **sequentially in query order**, so the
 //! result is bitwise identical for any shard count — and bitwise identical
-//! to [`evaluate`](crate::evaluate) on materialized rows, whose per-query
-//! arithmetic this reproduces exactly.
+//! to [`evaluate`](crate::evaluate) on materialized rows, which scores each
+//! query and reduces through the same two functions.
 
-use crate::metrics::{hitting_ratio, recall_at, Evaluation};
-use crate::{embedding_distance, spearman};
+use crate::embedding_distance;
+use crate::metrics::{reduce, score_query, Evaluation, QueryScores};
 use crate::store::EmbeddingStore;
 use tmn_traj::GroundTruth;
 
-/// Per-query scalar scores; everything the reduction needs.
-#[derive(Clone, Copy)]
-struct QueryScores {
-    hr10: f64,
-    hr50: f64,
-    r10_50: f64,
-    rho: Option<f64>,
-}
-
 /// Score one query against the store and the ground truth, reusing the
 /// caller's scratch rows.
-fn score_query(
+fn score_stored(
     store: &EmbeddingStore,
     truth: &dyn GroundTruth,
     q: usize,
@@ -42,12 +33,7 @@ fn score_query(
     let qe = store.get(q);
     pred_row.extend((0..n).map(|i| embedding_distance(qe, store.get(i))));
     truth.row_into(q, true_row);
-    QueryScores {
-        hr10: hitting_ratio(pred_row, true_row, 10, q),
-        hr50: hitting_ratio(pred_row, true_row, 50, q),
-        r10_50: recall_at(pred_row, true_row, 10, 50, q),
-        rho: spearman(pred_row, true_row),
-    }
+    score_query(pred_row, true_row, q)
 }
 
 /// HR-10 / HR-50 / R10@50 / Spearman over `queries`, with predicted
@@ -68,7 +54,7 @@ pub fn evaluate_sharded(
     if shards <= 1 {
         let (mut pred_row, mut true_row) = (Vec::new(), Vec::new());
         for (slot, &q) in slots.iter_mut().zip(queries) {
-            *slot = Some(score_query(store, truth, q, &mut pred_row, &mut true_row));
+            *slot = Some(score_stored(store, truth, q, &mut pred_row, &mut true_row));
         }
     } else {
         // Striped partition (as in the parallel inference path); the stripe
@@ -84,7 +70,7 @@ pub fn evaluate_sharded(
                         .iter()
                         .skip(t)
                         .step_by(shards)
-                        .map(|&q| score_query(store, truth, q, &mut pred_row, &mut true_row))
+                        .map(|&q| score_stored(store, truth, q, &mut pred_row, &mut true_row))
                         .collect();
                     tx.send((t, scores)).expect("main thread alive");
                 });
@@ -97,30 +83,8 @@ pub fn evaluate_sharded(
             }
         });
     }
-    // Sequential reduction in query order — the same f64 addition sequence
-    // as `evaluate`, hence bitwise equality with the materialized path.
-    let mut hr10 = 0.0;
-    let mut hr50 = 0.0;
-    let mut r10_50 = 0.0;
-    let mut rho_sum = 0.0;
-    let mut rho_n = 0usize;
-    for sc in slots.into_iter().map(|s| s.expect("all query slots filled")) {
-        hr10 += sc.hr10;
-        hr50 += sc.hr50;
-        r10_50 += sc.r10_50;
-        if let Some(rho) = sc.rho {
-            rho_sum += rho;
-            rho_n += 1;
-        }
-    }
-    let n = queries.len().max(1) as f64;
-    Evaluation {
-        hr10: hr10 / n,
-        hr50: hr50 / n,
-        r10_50: r10_50 / n,
-        spearman: (rho_n > 0).then(|| rho_sum / rho_n as f64),
-        queries: queries.len(),
-    }
+    // Sequential reduction in query order, the one `evaluate` uses.
+    reduce(slots.into_iter().map(|s| s.expect("all query slots filled")), queries.len())
 }
 
 #[cfg(test)]

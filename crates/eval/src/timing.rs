@@ -1,6 +1,7 @@
 //! Timing harness for the efficiency study (Table III): exact-metric
-//! computation time, model training time per epoch, per-trajectory
-//! inference time, and per-pair similarity computation time.
+//! computation time, per-pair embedding-distance time, and the phase
+//! breakdown of a top-k search. Per-trajectory inference time is measured
+//! in `tmn-bench` (`time_inference_split`).
 
 use std::time::Instant;
 use tmn_core::PairModel;
@@ -59,24 +60,6 @@ pub fn time_exact_pairwise_counted(
     // Keep the accumulation observable so the loop cannot be optimized out.
     std::hint::black_box(acc);
     (start.elapsed().as_secs_f64(), pairs)
-}
-
-/// Total wall-clock seconds to encode every trajectory with `model`
-/// (batched, amortized), plus the number of trajectories encoded. For
-/// pair-dependent models this measures self-paired encoding, matching how
-/// the paper reports TMN's per-trajectory inference cost.
-///
-/// Measures the serving path: `encode_all` runs the tape-free forward, so
-/// the number excludes autograd graph construction.
-pub fn time_inference_per_trajectory_counted(
-    model: &dyn PairModel,
-    trajs: &[Trajectory],
-    batch_size: usize,
-) -> (f64, u64) {
-    let start = Instant::now();
-    let emb = crate::search::encode_all(model, trajs, batch_size);
-    std::hint::black_box(&emb);
-    (start.elapsed().as_secs_f64(), trajs.len() as u64)
 }
 
 /// Mean seconds to compute the Euclidean similarity of two `d`-dim
@@ -232,14 +215,6 @@ mod tests {
         assert_eq!((small_pairs, large_pairs), (15, 66));
         assert!(small > 0.0);
         assert!(large > small, "more work must take longer: {small} vs {large}");
-    }
-
-    #[test]
-    fn inference_timing_positive() {
-        let model = ModelKind::Srn.build(&ModelConfig { dim: 8, seed: 1 });
-        let (t, n) = time_inference_per_trajectory_counted(model.as_ref(), &trajs(4, 10), 4);
-        assert!(t > 0.0 && t.is_finite());
-        assert_eq!(n, 4);
     }
 
     #[test]

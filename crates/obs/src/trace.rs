@@ -831,7 +831,7 @@ mod tests {
         };
         assert_eq!(events.len(), 2, "root + one stage");
         for ev in events {
-            for field in ["name", "ph", "ts", "dur", "pid", "tid", "args"] {
+            for field in ["name", "cat", "ph", "ts", "dur", "pid", "tid", "args"] {
                 assert!(ev.get_field(field).is_some(), "event lacks {field}: {ev:?}");
             }
             assert_eq!(ev.get_field("ph"), Some(&serde::Value::Str("X".into())));
@@ -866,6 +866,10 @@ mod tests {
         assert!(tree.contains("  test.stage") || tree.contains("    test.stage"), "{tree}");
         assert!(tree.contains("n=4"), "attr missing:\n{tree}");
         let jsonl = dump_jsonl();
+        assert_eq!(jsonl.lines().count(), recent().len(), "one JSONL line per trace");
+        for line in jsonl.lines() {
+            let _: TraceSnapshot = serde_json::from_str(line).expect("every JSONL line parses back");
+        }
         let line = jsonl.lines().last().unwrap();
         let back: TraceSnapshot = serde_json::from_str(line).unwrap();
         assert_eq!(back, t, "JSONL line must round-trip the snapshot");

@@ -784,6 +784,7 @@ mod tests {
         }
         // A corpus trajectory's own embedding is its nearest neighbour.
         let top = h.query(traj(5, 12), 3).unwrap();
+        assert_eq!(top.len(), 3, "query must return k results");
         assert_eq!(top[0].0, 5);
         assert!(top[0].1 <= 1e-6, "self-distance {} not ~0", top[0].1);
         // By-id path agrees with the ad-hoc path.
@@ -848,10 +849,19 @@ mod tests {
             let out = h.append_point(1, p).unwrap();
             assert_eq!(out.len, i + 1);
             assert!(out.reindexed, "default config re-indexes every append");
+            // Delta is measured against the indexed embedding: none exists
+            // before the first point.
+            if i == 0 {
+                assert!(out.delta.is_infinite(), "first append has no previous embedding");
+            } else {
+                assert!(out.delta.is_finite() && out.delta >= 0.0, "bad delta {}", out.delta);
+            }
         }
         h.insert(2, t).unwrap();
-        let (v1, v2) = (engine.shards().get_vec(1).unwrap(), engine.shards().get_vec(2).unwrap());
-        assert_eq!(v1, v2, "streamed index entry diverged from whole-trajectory insert");
+        let bits = |id| {
+            engine.shards().get_vec(id).unwrap().iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+        };
+        assert_eq!(bits(1), bits(2), "streamed index entry diverged from whole-trajectory insert");
         // The streamed id serves queries like any other corpus entry.
         assert_eq!(h.query_id(1, 2).unwrap()[0].0, 1);
         assert_eq!(h.status().unwrap().streams, 1);
@@ -864,14 +874,20 @@ mod tests {
         let h = engine.handle();
         let t = traj(31, 7);
         h.insert(4, t.clone()).unwrap();
-        let p = Point { lon: 0.42, lat: 0.17 };
-        let out = h.append_point(4, p).unwrap();
-        assert_eq!(out.len, 8, "append must see the 7 stored points");
-        // Reference: the grown trajectory inserted whole under another id.
+        // The first append replays the stored points into a fresh stream;
+        // the later ones step that stream incrementally.
         let mut grown = t;
-        grown.push(p);
+        for (i, p) in traj(32, 5).points().iter().enumerate() {
+            let out = h.append_point(4, *p).unwrap();
+            assert_eq!(out.len, 8 + i, "append {i} must extend the 7 stored points");
+            grown.push(*p);
+        }
+        // Reference: the grown trajectory inserted whole under another id.
         h.insert(5, grown).unwrap();
-        assert_eq!(engine.shards().get_vec(4).unwrap(), engine.shards().get_vec(5).unwrap());
+        let bits = |id| {
+            engine.shards().get_vec(id).unwrap().iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+        };
+        assert_eq!(bits(4), bits(5), "appends after a whole insert diverged from the grown one");
         engine.shutdown();
     }
 
@@ -889,7 +905,10 @@ mod tests {
         let first = h.append_point(9, t.points()[0]).unwrap();
         assert!(first.reindexed, "a trajectory's first point must always index");
         assert!(first.delta.is_infinite());
-        let indexed = engine.shards().get_vec(9).unwrap();
+        let bits = || {
+            engine.shards().get_vec(9).unwrap().iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+        };
+        let indexed = bits();
         for &p in &t.points()[1..] {
             let out = h.append_point(9, p).unwrap();
             assert!(!out.reindexed, "delta {} cannot clear f64::MAX", out.delta);
@@ -897,7 +916,7 @@ mod tests {
         }
         // The index (and the cache feeding query_id) still hold the first
         // point's embedding: skipped appends cause zero churn.
-        assert_eq!(engine.shards().get_vec(9).unwrap(), indexed);
+        assert_eq!(bits(), indexed);
         assert_eq!(h.status().unwrap().corpus, 1);
         engine.shutdown();
     }

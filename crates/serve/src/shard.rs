@@ -490,8 +490,9 @@ impl ShardSet {
 
     /// Fault-injection hook: poison shard `s`'s lock the way a crashed
     /// writer would — by panicking inside the write critical section. Used
-    /// by the fault suite and the `serve_smoke` CI bin; after this, the
-    /// set runs in degraded mode until rebuilt.
+    /// by the fault suite (`fault_injection.rs`) and the engine's
+    /// degraded-shard unit test; after this, the set runs in degraded mode
+    /// until rebuilt.
     pub fn fault_poison(&self, s: usize) {
         let lock = &self.shards[s];
         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {

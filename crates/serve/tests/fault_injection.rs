@@ -138,6 +138,7 @@ fn degraded_mode_is_visible_in_json_and_prometheus() {
         "Prometheus exposition lacks the degraded gauge:\n{text}"
     );
     assert!(text.contains("tmn_shard_imbalance"), "imbalance gauge missing:\n{text}");
+    assert!(text.contains("tmn_serve_batch_size"), "batch-size gauge missing:\n{text}");
 
     // Still serving: ad-hoc queries answer from the two healthy shards.
     let hits = h.query(traj(5, 8), 5).unwrap();

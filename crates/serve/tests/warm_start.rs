@@ -71,6 +71,8 @@ fn warm_engine_matches_cold_engine_exactly() {
     for q in [traj(3, 9), traj(77, 11), traj(200, 7)] {
         assert_eq!(wh.query(q.clone(), 5).unwrap(), ch.query(q, 5).unwrap());
     }
+    // A stored trajectory is its own nearest neighbour on the warm engine.
+    assert_eq!(wh.query(trajs[11].clone(), 3).unwrap()[0].0, 11, "warm self-NN failed");
     // By-id queries run off the warm cache on both sides.
     for id in [0u64, 17, 39] {
         assert_eq!(wh.query_id(id, 5).unwrap(), ch.query_id(id, 5).unwrap());

@@ -50,21 +50,6 @@ if [ -s results/BENCH_throughput.json ]; then
   cargo run --release -p tmn-bench --bin bench_diff -- --self-check results/BENCH_throughput.json
 fi
 
-echo "== resume smoke (kill-and-resume bit-identical, threads=1 and 4) =="
-cargo run --release -p tmn-bench --bin resume_smoke
-
-echo "== serve smoke (lifecycle, degraded mode, cache recovery) =="
-cargo run --release -p tmn-bench --bin serve_smoke
-
-echo "== store smoke (mmap round-trip, corruption, blocked GT, sharded eval, warm start) =="
-cargo run --release -p tmn-bench --bin store_smoke
-
-echo "== stream smoke (point-by-point replay, bitwise parity, window query, reindex filter) =="
-cargo run --release -p tmn-bench --bin stream_smoke
-
-echo "== trace smoke (span trees, chrome export, exemplar linkage, queue metrics) =="
-cargo run --release -p tmn-bench --bin trace_smoke
-
 echo "== benchmark output checks (every workload once, 2 s each) =="
 # Each run checks its own outputs and exits nonzero when one is wrong:
 # served top-10 bitwise equal to ShardSet::query, streamed vectors bitwise
