@@ -29,7 +29,7 @@
 //! be returned with [`recycle`]; only a function's *final* result may be a
 //! fresh allocation. Pool buffers are zero-filled on rental, so kernels can
 //! rely on `+=`-style accumulation. The pool keeps at most
-//! [`POOL_MAX_BUFFERS`] buffers; steady-state inference allocates nothing.
+//! `POOL_MAX_BUFFERS` buffers; steady-state inference allocates nothing.
 
 use crate::kernels::{mm_nn, mm_nt};
 use crate::ops::{gru_step_elementwise, lstm_step_elementwise, softmax_row};

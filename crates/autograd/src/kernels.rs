@@ -14,7 +14,7 @@
 //!
 //! All three entry points keep the naive kernels' contract: `out` is
 //! *accumulated into*, not overwritten. Small problems fall back to the
-//! [`reference`] kernels — packing costs O(m·k + k·n) writes, which only
+//! [`reference`](mod@reference) kernels — packing costs O(m·k + k·n) writes, which only
 //! pays for itself once the O(m·n·k) multiply dominates.
 //!
 //! The microkernel is selected once per process by [`crate::simd::active`]:
@@ -22,7 +22,7 @@
 //! scalar 4×8 tile everywhere else. The packing code is generic over the
 //! tile shape, so both paths share the same blocked skeleton (and the same
 //! zero-padded edge handling). A one-row `mm_nn` on AVX2 skips the tile:
-//! [`gemm_one_row`] computes its row 0 directly, with the same bits.
+//! `gemm_one_row` computes its row 0 directly, with the same bits.
 
 use crate::simd;
 use std::cell::RefCell;
@@ -66,11 +66,11 @@ thread_local! {
 
 /// `out[m,n] += a[m,k] · b[k,n]`, both row-major.
 ///
-/// Dispatch is **row-stable** ([`ROW_STABLE_MIN_KN`]): the naive/blocked
+/// Dispatch is **row-stable** (`ROW_STABLE_MIN_KN`): the naive/blocked
 /// choice looks at `k·n` only, so each output row's bits are independent
 /// of how many rows the call covers. The blocked kernel reads `b` in
 /// place, so a weight matrix is not repacked per call, and one row on
-/// AVX2 takes [`gemm_one_row`] instead of a zero-padded tile: the same
+/// AVX2 takes `gemm_one_row` instead of a zero-padded tile: the same
 /// per-row arithmetic, so that choice may look at `m`. `mm_nt`/`mm_tn`
 /// keep the total-flops rule — nothing requires row stability of them, and
 /// backward-pass GEMMs prefer the cheaper heuristic.

@@ -5,7 +5,7 @@
 //! The recurrent layers ([`Lstm`], [`Gru`]) run on the fused ops
 //! in [`crate::ops`] (`rnn_gate_preproject` + one fused cell node per step).
 //! Their original step-unrolled implementations are preserved in
-//! [`reference`] as the differential-testing oracle, mirroring how
+//! [`reference`](mod@reference) as the differential-testing oracle, mirroring how
 //! `tmn-core`'s `kernels::reference` backs the optimized kernels.
 
 mod gru;

@@ -104,10 +104,11 @@ impl ParamSet {
     }
 
     /// Copy out all gradients in registration order; parameters with no
-    /// gradient yield zeros. Shape-compatible with [`accumulate_grads`]
-    /// (`Self::accumulate_grads`) — together they move gradients between
-    /// model replicas for data-parallel training, the same way
-    /// [`snapshot`](Self::snapshot)/[`restore`](Self::restore) move weights.
+    /// gradient yield zeros. Shape-compatible with
+    /// [`accumulate_grads`](Self::accumulate_grads) — together they move
+    /// gradients between model replicas for data-parallel training, the
+    /// same way [`snapshot`](Self::snapshot)/[`restore`](Self::restore) move
+    /// weights.
     pub fn grad_snapshot(&self) -> Vec<Vec<f32>> {
         self.params
             .iter()

@@ -16,12 +16,12 @@
 use std::cell::Cell;
 use tmn_obs::{profiler, ScopeKind, Span};
 
-/// Every op name that may open an [`op_scope`], i.e. every primitive op with
+/// Every op name that may open an `op_scope`, i.e. every primitive op with
 /// a registered FLOP estimator (0 is a valid estimate for pure data-movement
 /// ops). `profile --check` asserts that each forward/backward record in a
 /// snapshot carries one of these names, so an op added without updating this
 /// list fails CI instead of silently reporting bogus FLOP rates.
-/// Kept sorted for the membership `binary_search` in [`op_scope`]'s
+/// Kept sorted for the membership `binary_search` in `op_scope`'s
 /// debug assertion.
 pub const INSTRUMENTED_OPS: &[&str] = &[
     "add",

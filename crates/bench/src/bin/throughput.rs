@@ -1,7 +1,6 @@
 //! Training-throughput benchmark: serial vs data-parallel gradient steps,
 //! naive-vs-blocked GEMM kernel microbenchmarks, and the tape-free
-//! inference fast path (embed qps, per-call latency percentiles, and the
-//! int8-quantized index footprint).
+//! inference fast path (embed qps and per-call latency percentiles).
 //!
 //! Trains TMN under the paper's default recipe (batch of 64 pairs) at
 //! several worker counts and reports steps/second; then times the scalar
@@ -12,8 +11,6 @@
 //!
 //! Results land in `results/BENCH_throughput.json`.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::time::Instant;
 use tmn::prelude::*;
 use tmn_autograd::kernels;
@@ -59,9 +56,6 @@ struct InferRow {
     /// Single-pair `embed_nograd` latency percentiles in nanoseconds.
     embed_ns_p50: f64,
     embed_ns_p99: f64,
-    /// Vector bytes held by the int8-quantized HNSW index vs the f32 one.
-    index_bytes: usize,
-    index_f32_bytes: usize,
 }
 
 #[derive(serde::Serialize)]
@@ -215,8 +209,7 @@ fn bench_kernel(f: impl Fn(&[f32], &[f32], &mut [f32]), a: &[f32], b: &[f32], ou
 }
 
 /// Benchmark the tape-free serving path: batched encode throughput and
-/// speedup over the graphed forward, single-pair latency percentiles, and
-/// the quantized-index footprint over the encoded set.
+/// speedup over the graphed forward, and single-pair latency percentiles.
 fn bench_inference(ds: &Dataset, dim: usize) -> InferRow {
     let model = ModelKind::Tmn.build(&ModelConfig { dim, seed: 42 });
     let n = ds.test.len().min(64);
@@ -246,17 +239,6 @@ fn bench_inference(ds: &Dataset, dim: usize) -> InferRow {
     samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
     let pct = |p: usize| samples[(samples.len() * p / 100).min(samples.len() - 1)];
 
-    let emb = encode_all(model.as_ref(), trajs, 16);
-    let vector_bytes = |mut index: Hnsw| {
-        let mut rng = StdRng::seed_from_u64(7);
-        for v in &emb {
-            index.insert(v, &mut rng);
-        }
-        index.memory_bytes()
-    };
-    let index_bytes = vector_bytes(Hnsw::new_quantized(dim, HnswConfig::default()));
-    let index_f32_bytes = vector_bytes(Hnsw::new(dim, HnswConfig::default()));
-
     InferRow {
         simd_dispatch: tmn_autograd::simd::dispatch_name().to_string(),
         trajectories: n,
@@ -264,8 +246,6 @@ fn bench_inference(ds: &Dataset, dim: usize) -> InferRow {
         nograd_speedup: split.speedup(),
         embed_ns_p50: pct(50),
         embed_ns_p99: pct(99),
-        index_bytes,
-        index_f32_bytes,
     }
 }
 
@@ -712,14 +692,12 @@ fn main() {
     let infer = bench_inference(&ds, dim);
     eprintln!(
         "  infer ({}): {:.0} traj/s tape-free ({:.2}x vs graphed), \
-         embed p50 {:.0}ns p99 {:.0}ns, index {}B int8 vs {}B f32",
+         embed p50 {:.0}ns p99 {:.0}ns",
         infer.simd_dispatch,
         infer.infer_qps,
         infer.nograd_speedup,
         infer.embed_ns_p50,
         infer.embed_ns_p99,
-        infer.index_bytes,
-        infer.index_f32_bytes,
     );
 
     let store = bench_store(scale);

@@ -1,17 +1,8 @@
 //! Binary model checkpoints.
 //!
-//! Two wire formats share the `TMNW` magic:
-//!
-//! **v1** (legacy, weights only, still readable):
-//! ```text
-//! magic "TMNW" | version=1 u32 | n_params u32 |
-//!   repeat n_params times:
-//!     name_len u32 | name bytes | rank u32 | dims u32... | data f32...
-//! ```
-//!
-//! **v2** (current): a typed section table with per-section and whole-file
-//! CRC32 checksums, so torn writes and bit rot are detected instead of
-//! silently corrupting a resumed run:
+//! The wire format (version 2) is a typed section table with per-section
+//! and whole-file CRC32 checksums, so torn writes and bit rot are detected
+//! instead of silently corrupting a resumed run:
 //! ```text
 //! magic "TMNW" | version=2 u32 | n_sections u32 |
 //!   repeat n_sections times:
@@ -19,7 +10,8 @@
 //! file_crc32 u32   (over every preceding byte)
 //! ```
 //!
-//! Section kinds: `1` = params (same row encoding as the v1 body), `2` =
+//! Section kinds: `1` = params (`n_params u32`, then per parameter
+//! `name_len u32 | name bytes | rank u32 | dims u32... | data f32...`), `2` =
 //! Adam optimizer state (hyperparameters, step count, both moment buffers),
 //! `3` = trainer state (epoch, batch cursor, sampler RNG state, anchor
 //! order, pending pair buffer — everything needed to resume bit-identically
@@ -38,7 +30,6 @@ use tmn_autograd::nn::{ParamSet, RestoreError};
 use tmn_autograd::optim::AdamState;
 
 const MAGIC: &[u8; 4] = b"TMNW";
-const VERSION_V1: u32 = 1;
 const VERSION_V2: u32 = 2;
 
 /// Section kinds of the v2 format.
@@ -157,8 +148,7 @@ pub struct TrainerState {
     pub buffer: Vec<(u32, u32, f32)>,
 }
 
-/// A fully decoded checkpoint. v1 files and weights-only v2 files populate
-/// `params` only.
+/// A fully decoded checkpoint. Weights-only files populate `params` only.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrainCheckpoint {
     pub params: Vec<ParamRow>,
@@ -278,17 +268,6 @@ pub fn save_checkpoint(
 /// (v2, params section only).
 pub fn save_params(params: &ParamSet) -> Bytes {
     save_checkpoint(params, None, None)
-}
-
-/// Serialize parameters in the legacy v1 layout (no checksums). Kept so the
-/// v1-compatibility path stays exercised; new code writes v2.
-pub fn encode_params_v1(params: &ParamSet) -> Bytes {
-    let snap = params.snapshot();
-    let mut buf = BytesMut::new();
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(VERSION_V1);
-    encode_param_rows(&snap, &mut buf);
-    buf.freeze()
 }
 
 // ---------------------------------------------------------------------------
@@ -446,8 +425,8 @@ fn decode_trainer(buf: &mut &[u8]) -> Result<TrainerState, CheckpointError> {
     })
 }
 
-/// Decode a checkpoint buffer (either version) into its typed sections.
-/// Never panics on malformed input.
+/// Decode a checkpoint buffer into its typed sections. Never panics on
+/// malformed input.
 pub fn decode_checkpoint(full: &[u8]) -> Result<TrainCheckpoint, CheckpointError> {
     let mut buf = full;
     if buf.remaining() < 12 {
@@ -459,99 +438,90 @@ pub fn decode_checkpoint(full: &[u8]) -> Result<TrainCheckpoint, CheckpointError
         return Err(CheckpointError::BadMagic);
     }
     let version = buf.get_u32_le();
-    match version {
-        VERSION_V1 => {
-            // Legacy weights-only layout: the count field is part of the body.
-            let mut body = &full[8..];
-            let params = decode_param_rows(&mut body)?;
-            Ok(TrainCheckpoint { params, optimizer: None, trainer: None })
-        }
-        VERSION_V2 => {
-            if full.len() < 16 {
-                return Err(CheckpointError::Truncated);
-            }
-            // Whole-file integrity first: the trailer CRC covers every
-            // preceding byte, so any single-bit flip anywhere is caught
-            // before section parsing begins.
-            let trailer =
-                u32::from_le_bytes(full[full.len() - 4..].try_into().expect("4-byte trailer"));
-            if crc32(&full[..full.len() - 4]) != trailer {
-                return Err(CheckpointError::CrcMismatch { what: "file" });
-            }
-            let n_sections = buf.get_u32_le() as usize;
-            let mut buf = &full[12..full.len() - 4];
-            let mut params: Option<Vec<ParamRow>> = None;
-            let mut optimizer: Option<AdamState> = None;
-            let mut trainer: Option<TrainerState> = None;
-            for _ in 0..n_sections {
-                if buf.remaining() < 8 {
-                    return Err(CheckpointError::Truncated);
-                }
-                let kind = buf.get_u32_le();
-                let len = buf.get_u32_le() as usize;
-                if buf.remaining() < len + 4 {
-                    return Err(CheckpointError::Truncated);
-                }
-                let payload = &buf[..len];
-                buf.advance(len);
-                let stored_crc = buf.get_u32_le();
-                let (what, duplicate) = match kind {
-                    SECTION_PARAMS => ("params section", params.is_some()),
-                    SECTION_ADAM => ("adam section", optimizer.is_some()),
-                    SECTION_TRAINER => ("trainer section", trainer.is_some()),
-                    _ => ("unknown section", false),
-                };
-                if crc32(payload) != stored_crc {
-                    return Err(CheckpointError::CrcMismatch { what });
-                }
-                if duplicate {
-                    return Err(CheckpointError::Corrupt("duplicate section"));
-                }
-                let mut p = payload;
-                match kind {
-                    SECTION_PARAMS => {
-                        let rows = decode_param_rows(&mut p)?;
-                        if p.remaining() != 0 {
-                            return Err(CheckpointError::Corrupt("trailing bytes in params section"));
-                        }
-                        params = Some(rows);
-                    }
-                    SECTION_ADAM => {
-                        let state = decode_adam(&mut p)?;
-                        if p.remaining() != 0 {
-                            return Err(CheckpointError::Corrupt("trailing bytes in adam section"));
-                        }
-                        optimizer = Some(state);
-                    }
-                    SECTION_TRAINER => {
-                        let state = decode_trainer(&mut p)?;
-                        if p.remaining() != 0 {
-                            return Err(CheckpointError::Corrupt("trailing bytes in trainer section"));
-                        }
-                        trainer = Some(state);
-                    }
-                    // Unknown kinds: CRC verified above, payload skipped.
-                    _ => {}
-                }
-            }
-            if buf.remaining() != 0 {
-                return Err(CheckpointError::Corrupt("trailing bytes after section table"));
-            }
-            let params = params.ok_or(CheckpointError::Corrupt("missing params section"))?;
-            Ok(TrainCheckpoint { params, optimizer, trainer })
-        }
-        other => Err(CheckpointError::UnsupportedVersion(other)),
+    if version != VERSION_V2 {
+        return Err(CheckpointError::UnsupportedVersion(version));
     }
+    if full.len() < 16 {
+        return Err(CheckpointError::Truncated);
+    }
+    // Whole-file integrity first: the trailer CRC covers every preceding
+    // byte, so any single-bit flip anywhere is caught before section
+    // parsing begins.
+    let trailer = u32::from_le_bytes(full[full.len() - 4..].try_into().expect("4-byte trailer"));
+    if crc32(&full[..full.len() - 4]) != trailer {
+        return Err(CheckpointError::CrcMismatch { what: "file" });
+    }
+    let n_sections = buf.get_u32_le() as usize;
+    let mut buf = &full[12..full.len() - 4];
+    let mut params: Option<Vec<ParamRow>> = None;
+    let mut optimizer: Option<AdamState> = None;
+    let mut trainer: Option<TrainerState> = None;
+    for _ in 0..n_sections {
+        if buf.remaining() < 8 {
+            return Err(CheckpointError::Truncated);
+        }
+        let kind = buf.get_u32_le();
+        let len = buf.get_u32_le() as usize;
+        if buf.remaining() < len + 4 {
+            return Err(CheckpointError::Truncated);
+        }
+        let payload = &buf[..len];
+        buf.advance(len);
+        let stored_crc = buf.get_u32_le();
+        let (what, duplicate) = match kind {
+            SECTION_PARAMS => ("params section", params.is_some()),
+            SECTION_ADAM => ("adam section", optimizer.is_some()),
+            SECTION_TRAINER => ("trainer section", trainer.is_some()),
+            _ => ("unknown section", false),
+        };
+        if crc32(payload) != stored_crc {
+            return Err(CheckpointError::CrcMismatch { what });
+        }
+        if duplicate {
+            return Err(CheckpointError::Corrupt("duplicate section"));
+        }
+        let mut p = payload;
+        match kind {
+            SECTION_PARAMS => {
+                let rows = decode_param_rows(&mut p)?;
+                if p.remaining() != 0 {
+                    return Err(CheckpointError::Corrupt("trailing bytes in params section"));
+                }
+                params = Some(rows);
+            }
+            SECTION_ADAM => {
+                let state = decode_adam(&mut p)?;
+                if p.remaining() != 0 {
+                    return Err(CheckpointError::Corrupt("trailing bytes in adam section"));
+                }
+                optimizer = Some(state);
+            }
+            SECTION_TRAINER => {
+                let state = decode_trainer(&mut p)?;
+                if p.remaining() != 0 {
+                    return Err(CheckpointError::Corrupt("trailing bytes in trainer section"));
+                }
+                trainer = Some(state);
+            }
+            // Unknown kinds: CRC verified above, payload skipped.
+            _ => {}
+        }
+    }
+    if buf.remaining() != 0 {
+        return Err(CheckpointError::Corrupt("trailing bytes after section table"));
+    }
+    let params = params.ok_or(CheckpointError::Corrupt("missing params section"))?;
+    Ok(TrainCheckpoint { params, optimizer, trainer })
 }
 
 /// Decode a checkpoint buffer into `(name, shape, data)` rows (weights
-/// only). Reads both v1 and v2 files.
+/// only).
 pub fn decode(buf: &[u8]) -> Result<Vec<ParamRow>, CheckpointError> {
     decode_checkpoint(buf).map(|c| c.params)
 }
 
-/// Restore a checkpoint buffer into a model's parameters. Accepts v1 and v2
-/// files; a checkpoint from the wrong `ModelKind`/`dim` yields
+/// Restore a checkpoint buffer into a model's parameters. A checkpoint
+/// from the wrong `ModelKind`/`dim` yields
 /// [`CheckpointError::Mismatch`] instead of panicking, with the model left
 /// untouched.
 pub fn load_params(params: &ParamSet, buf: &[u8]) -> Result<(), CheckpointError> {
@@ -578,15 +548,6 @@ mod tests {
                 assert_eq!(t1.to_vec(), t2.to_vec(), "{kind}: weights differ after roundtrip");
             }
         }
-    }
-
-    #[test]
-    fn v1_still_loads_weights() {
-        let model = ModelKind::Tmn.build(&ModelConfig { dim: 8, seed: 4 });
-        let buf = encode_params_v1(model.params());
-        let clone = ModelKind::Tmn.build(&ModelConfig { dim: 8, seed: 123 });
-        load_params(clone.params(), &buf).unwrap();
-        assert_eq!(model.params().fingerprint(), clone.params().fingerprint());
     }
 
     #[test]

@@ -141,7 +141,7 @@ impl PairModel for T3s {
 
     /// Self-attention mixes every point with every other, so there is no
     /// O(1) incremental update — T3S streams through the windowed fallback
-    /// (full re-embed per append, window capped at [`MAX_POSITIONS`]).
+    /// (full re-embed per append, window capped at `MAX_POSITIONS`).
     fn stream_begin(&self) -> Option<super::ModelStream> {
         Some(super::ModelStream::window(MAX_POSITIONS))
     }

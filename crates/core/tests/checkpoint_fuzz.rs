@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use tmn_core::checkpoint::{crc32, decode, decode_checkpoint, save_checkpoint, TrainerState};
-use tmn_core::{save_params, LossKind, ModelConfig, ModelKind};
+use tmn_core::{save_params, CheckpointError, LossKind, ModelConfig, ModelKind};
 
 fn small_checkpoint() -> Vec<u8> {
     let model = ModelKind::Srn.build(&ModelConfig { dim: 8, seed: 42 });
@@ -40,9 +40,10 @@ proptest! {
         let _ = decode_checkpoint(&bytes);
     }
 
-    /// Garbage behind a valid magic + version header reaches the deep
+    /// Garbage behind a valid magic + version 2 header reaches the deep
     /// decoding paths (section table, length fields, shape products) —
-    /// still no panics, no unbounded allocations.
+    /// still no panics, no unbounded allocations. Version 1 (no longer
+    /// read) is refused as unsupported.
     #[test]
     fn decode_framed_garbage_never_panics(
         version in prop_oneof![Just(1u32), Just(2u32)],
@@ -53,6 +54,9 @@ proptest! {
         buf.extend_from_slice(&body);
         let _ = decode(&buf);
         let _ = decode_checkpoint(&buf);
+        if version == 1 && buf.len() >= 12 {
+            prop_assert_eq!(decode(&buf), Err(CheckpointError::UnsupportedVersion(1)));
+        }
     }
 
     /// Single-byte mutations of a real v2 checkpoint: never a panic, and

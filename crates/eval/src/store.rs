@@ -1,7 +1,7 @@
 //! Persistent embedding stores: hold the encoded database, persist it, and
 //! search it by exact linear scan. Approximate search (sharded,
-//! int8-quantized, exact-reranked HNSW) is `tmn-serve`'s `ShardSet`, which
-//! bulk-loads from a store (`ShardSet::warm_load`).
+//! exact-reranked HNSW) is `tmn-serve`'s `ShardSet`, which bulk-loads from
+//! a store (`ShardSet::warm_load`).
 //!
 //! A store is either built in memory or opened from the CRC-framed
 //! `tmn-store` embeddings file that [`EmbeddingStore::save`] writes. The

@@ -5,7 +5,6 @@
 //! neighbour search over the embeddings. This is that index, built for the
 //! `d`-dimensional embeddings the models emit.
 
-use crate::quant;
 use rand::Rng;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -54,18 +53,6 @@ struct HnswNode {
     neighbours: Vec<Vec<usize>>,
 }
 
-/// Backing storage for the indexed vectors.
-///
-/// `F32` keeps the exact vectors (4·d bytes each). `Int8` keeps symmetric
-/// per-vector int8 codes plus an f16 scale (d + 2 bytes each, ≈ 28% of f32
-/// at d = 16); graph traversal then measures query-to-code distances, which
-/// perturbs the shortlist slightly — callers that need exact top-k rerank
-/// the shortlist against full-precision embeddings kept outside the index.
-enum VectorStore {
-    F32(Vec<f32>),
-    Int8 { codes: Vec<i8>, scales: Vec<u16> },
-}
-
 /// An HNSW index over vectors of a fixed dimension.
 ///
 /// Supports incremental deletion via tombstones: a removed node stays in the
@@ -77,7 +64,8 @@ enum VectorStore {
 pub struct Hnsw {
     config: HnswConfig,
     dim: usize,
-    store: VectorStore,
+    /// Row-major vectors, `dim` f32s per node, indexed like `nodes`.
+    vectors: Vec<f32>,
     nodes: Vec<HnswNode>,
     /// Tombstone flags, indexed like `nodes`.
     deleted: Vec<bool>,
@@ -94,23 +82,12 @@ fn dist_sq(a: &[f32], b: &[f32]) -> f32 {
 
 impl Hnsw {
     pub fn new(dim: usize, config: HnswConfig) -> Hnsw {
-        Hnsw::with_store(dim, config, VectorStore::F32(Vec::new()))
-    }
-
-    /// An index that stores int8-quantized vectors (d + 2 bytes per vector
-    /// instead of 4·d). Search returns an *approximately ranked* shortlist;
-    /// pair with an exact rerank for unchanged top-k quality.
-    pub fn new_quantized(dim: usize, config: HnswConfig) -> Hnsw {
-        Hnsw::with_store(dim, config, VectorStore::Int8 { codes: Vec::new(), scales: Vec::new() })
-    }
-
-    fn with_store(dim: usize, config: HnswConfig, store: VectorStore) -> Hnsw {
         assert!(dim > 0, "Hnsw: dimension must be positive");
         assert!(config.m >= 2, "Hnsw: m must be >= 2");
         Hnsw {
             config,
             dim,
-            store,
+            vectors: Vec::new(),
             nodes: Vec::new(),
             deleted: Vec::new(),
             live: 0,
@@ -120,35 +97,13 @@ impl Hnsw {
         }
     }
 
-    /// Whether vectors are stored int8-quantized.
-    pub fn is_quantized(&self) -> bool {
-        matches!(self.store, VectorStore::Int8 { .. })
-    }
-
     /// Pre-size the node, tombstone and vector buffers for `additional`
     /// more inserts. Bulk loaders (warm start from an on-disk store) call
     /// this once so a known-size load doesn't pay O(log n) regrowths.
     pub fn reserve(&mut self, additional: usize) {
         self.nodes.reserve(additional);
         self.deleted.reserve(additional);
-        match &mut self.store {
-            VectorStore::F32(v) => v.reserve(additional * self.dim),
-            VectorStore::Int8 { codes, scales } => {
-                codes.reserve(additional * self.dim);
-                scales.reserve(additional);
-            }
-        }
-    }
-
-    /// Bytes spent on vector storage (codes + scales for the quantized
-    /// store); excludes the graph itself, which is identical either way.
-    pub fn memory_bytes(&self) -> usize {
-        match &self.store {
-            VectorStore::F32(v) => v.len() * std::mem::size_of::<f32>(),
-            VectorStore::Int8 { codes, scales } => {
-                codes.len() + scales.len() * std::mem::size_of::<u16>()
-            }
-        }
+        self.vectors.reserve(additional * self.dim);
     }
 
     /// Total node count, tombstones included (ids are `0..len()`).
@@ -191,51 +146,21 @@ impl Hnsw {
         self.dim
     }
 
-    /// Squared distance from a full-precision query to stored vector `id`
-    /// (decoded on the fly for the quantized store).
-    fn dist_to(&self, query: &[f32], id: usize) -> f32 {
-        match &self.store {
-            VectorStore::F32(v) => dist_sq(query, &v[id * self.dim..(id + 1) * self.dim]),
-            VectorStore::Int8 { codes, scales } => {
-                let s = quant::f16_bits_to_f32(scales[id]);
-                let row = &codes[id * self.dim..(id + 1) * self.dim];
-                query
-                    .iter()
-                    .zip(row)
-                    .map(|(&x, &c)| {
-                        let d = x - c as f32 * s;
-                        d * d
-                    })
-                    .sum()
-            }
-        }
+    /// The vector stored under internal id `id` (tombstoned ids included),
+    /// exactly as it was inserted. Panics when `id >= len()`.
+    pub fn vector(&self, id: usize) -> &[f32] {
+        &self.vectors[id * self.dim..(id + 1) * self.dim]
     }
 
-    /// Stored vector `id` as owned f32s (decoded for the quantized store).
-    fn decoded(&self, id: usize) -> Vec<f32> {
-        match &self.store {
-            VectorStore::F32(v) => v[id * self.dim..(id + 1) * self.dim].to_vec(),
-            VectorStore::Int8 { codes, scales } => {
-                let mut out = vec![0.0f32; self.dim];
-                let row = &codes[id * self.dim..(id + 1) * self.dim];
-                quant::dequantize_into(row, scales[id], &mut out);
-                out
-            }
-        }
+    fn dist_to(&self, query: &[f32], id: usize) -> f32 {
+        dist_sq(query, self.vector(id))
     }
 
     /// Insert a vector; returns its id (= insertion order).
     pub fn insert(&mut self, v: &[f32], rng: &mut impl Rng) -> usize {
         assert_eq!(v.len(), self.dim, "Hnsw: vector dimension mismatch");
         let id = self.nodes.len();
-        match &mut self.store {
-            VectorStore::F32(vs) => vs.extend_from_slice(v),
-            VectorStore::Int8 { codes, scales } => {
-                let start = codes.len();
-                codes.resize(start + v.len(), 0);
-                scales.push(quant::quantize_into(v, &mut codes[start..]));
-            }
-        }
+        self.vectors.extend_from_slice(v);
         let level = (-rng.gen_range(f64::MIN_POSITIVE..1.0).ln() * self.level_mult) as usize;
         self.nodes.push(HnswNode { neighbours: vec![Vec::new(); level + 1] });
         self.deleted.push(false);
@@ -272,11 +197,11 @@ impl Hnsw {
                 self.nodes[nb].neighbours[l].push(id);
                 // Prune over-full neighbour lists, keeping the closest.
                 if self.nodes[nb].neighbours[l].len() > m_max {
-                    let base = self.decoded(nb);
                     let mut list = std::mem::take(&mut self.nodes[nb].neighbours[l]);
+                    let base = self.vector(nb);
                     list.sort_by(|&a, &b| {
-                        self.dist_to(&base, a)
-                            .partial_cmp(&self.dist_to(&base, b))
+                        self.dist_to(base, a)
+                            .partial_cmp(&self.dist_to(base, b))
                             .unwrap_or(Ordering::Equal)
                     });
                     list.truncate(m_max);
@@ -435,6 +360,7 @@ mod tests {
         let nn = h.knn(&[1.0, 2.0], 3);
         assert_eq!(nn.len(), 1);
         assert_eq!(nn[0], (0, 0.0));
+        assert_eq!(h.vector(0), [1.0, 2.0]);
     }
 
     #[test]
@@ -481,46 +407,5 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let mut h = Hnsw::new(3, HnswConfig::default());
         h.insert(&[0.0, 0.0], &mut rng);
-    }
-
-    #[test]
-    fn quantized_index_keeps_high_recall() {
-        let dim = 8;
-        let pts = random_vectors(500, dim, 7);
-        let config = HnswConfig { m: 12, ef_construction: 120, ef_search: 80 };
-        let mut rng = StdRng::seed_from_u64(8);
-        let mut h = Hnsw::new_quantized(dim, config);
-        for p in &pts {
-            h.insert(p, &mut rng);
-        }
-        assert!(h.is_quantized());
-        let queries = random_vectors(30, dim, 9);
-        let (mut hits, mut total) = (0usize, 0usize);
-        for q in &queries {
-            // A modest shortlist absorbs the quantization perturbation.
-            let got: Vec<usize> = h.knn_ef(q, 10, 40).into_iter().map(|(i, _)| i).collect();
-            let want = brute_knn(&pts, q, 10);
-            total += want.len();
-            hits += want.iter().filter(|w| got.contains(w)).count();
-        }
-        let recall = hits as f64 / total as f64;
-        assert!(recall >= 0.85, "quantized recall too low: {recall}");
-    }
-
-    #[test]
-    fn quantized_store_is_under_30_percent_of_f32() {
-        let dim = 16;
-        let pts = random_vectors(200, dim, 11);
-        let mut rng = StdRng::seed_from_u64(12);
-        let mut f = Hnsw::new(dim, HnswConfig::default());
-        let mut q = Hnsw::new_quantized(dim, HnswConfig::default());
-        for p in &pts {
-            f.insert(p, &mut rng);
-            q.insert(p, &mut rng);
-        }
-        assert_eq!(f.memory_bytes(), 200 * dim * 4);
-        assert_eq!(q.memory_bytes(), 200 * (dim + 2));
-        let ratio = q.memory_bytes() as f64 / f.memory_bytes() as f64;
-        assert!(ratio <= 0.30, "quantized store too large: {ratio}");
     }
 }

@@ -8,15 +8,14 @@
 //!   Table IV.
 //! - [`Hnsw`]: approximate nearest-neighbour graph (Malkov et al.) over the
 //!   learned trajectory embeddings, the index the paper names as
-//!   immediately applicable after embedding (Section I). Supports
-//!   full-precision and int8-quantized vector storage (see [`quant`]).
+//!   immediately applicable after embedding (Section I). It stores each
+//!   vector once, in f32, and hands it back by id ([`Hnsw::vector`]).
 //! - [`ShardRouter`]: the stable id→shard hash ([`splitmix64`]) that
-//!   `tmn-serve`'s `ShardSet` uses to spread one HNSW per shard. Sharded,
-//!   quantized and exact-reranked search all live in that one type.
+//!   `tmn-serve`'s `ShardSet` uses to spread one HNSW per shard. Sharded
+//!   and exact-reranked search both live in that one type.
 
 mod hnsw;
 mod kdtree;
-pub mod quant;
 mod router;
 
 pub use hnsw::{Hnsw, HnswConfig};

@@ -1,6 +1,6 @@
 //! Incremental insert/delete behaviour of the HNSW index: tombstones never
-//! surface in results, shortlist compensation keeps recall up under churn,
-//! and the quantized store behaves identically at the API level.
+//! surface in results, and shortlist compensation keeps recall up under
+//! churn.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -114,26 +114,6 @@ fn delete_everything_yields_empty_results() {
     let top = h.knn(&pts[0], 5);
     assert_eq!(top.len(), 1);
     assert_eq!(top[0].0, id);
-}
-
-#[test]
-fn quantized_index_supports_removal() {
-    let dim = 8;
-    let pts = vectors(200, dim, 21);
-    let mut rng = StdRng::seed_from_u64(22);
-    let mut h = Hnsw::new_quantized(dim, HnswConfig { m: 12, ef_construction: 120, ef_search: 80 });
-    for p in &pts {
-        h.insert(p, &mut rng);
-    }
-    for id in (0..200).step_by(2) {
-        h.remove(id);
-    }
-    assert_eq!(h.live_len(), 100);
-    for q in pts.iter().take(10) {
-        for (id, _) in h.knn_ef(q, 10, 60) {
-            assert!(id % 2 == 1, "tombstoned id {id} surfaced from the quantized store");
-        }
-    }
 }
 
 #[test]

@@ -8,7 +8,7 @@
 //!   are replaced with `_`.
 //! - Every series is preceded by `# HELP` and `# TYPE` comment lines, so
 //!   the output lints cleanly under `promtool check metrics`. HELP text is
-//!   generic ("<kind> exported by tmn-obs") — the registry keys metrics by
+//!   generic (`"<kind> exported by tmn-obs"`) — the registry keys metrics by
 //!   bare name, and per-metric prose lives in rustdoc, not the registry.
 //! - Counters get a `_total` suffix (appended if the registry name lacks
 //!   one), per Prometheus convention.

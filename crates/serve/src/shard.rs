@@ -36,9 +36,6 @@ pub struct ShardSetConfig {
     /// Shard count; defaults to the host's available parallelism.
     pub shards: usize,
     pub hnsw: HnswConfig,
-    /// Store int8-quantized vectors inside the shards (the exact f32 copy
-    /// kept for reranking makes top-k quality identical either way).
-    pub quantized: bool,
     /// Per-shard shortlist (beam width); candidates are exact-reranked.
     pub shortlist: usize,
     /// Rebuild a shard once tombstones exceed this fraction of its nodes.
@@ -55,7 +52,6 @@ impl Default for ShardSetConfig {
         ShardSetConfig {
             shards: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
             hnsw: HnswConfig::default(),
-            quantized: false,
             shortlist: 64,
             compact_ratio: 0.35,
             compact_min: 64,
@@ -66,13 +62,13 @@ impl Default for ShardSetConfig {
 
 /// One shard's guarded state.
 struct ShardInner {
+    /// The graph, and the only copy of each vector: rerank, rebuilds and
+    /// exact scans read a live id's row through `int_of_ext`.
     hnsw: Hnsw,
     /// Internal HNSW id → external trajectory id (aligned with insertion).
     ext_of_int: Vec<u64>,
     /// External id → its *current* internal id.
     int_of_ext: HashMap<u64, usize>,
-    /// Exact f32 embeddings for rerank, rebuilds, and oracle scans.
-    vecs: HashMap<u64, Vec<f32>>,
     /// Bumped on every mutation; constant across a read critical section.
     epoch: u64,
     rng: StdRng,
@@ -81,10 +77,9 @@ struct ShardInner {
 impl ShardInner {
     fn new(dim: usize, cfg: &ShardSetConfig, seed: u64) -> ShardInner {
         ShardInner {
-            hnsw: new_hnsw(dim, cfg),
+            hnsw: Hnsw::new(dim, cfg.hnsw),
             ext_of_int: Vec::new(),
             int_of_ext: HashMap::new(),
-            vecs: HashMap::new(),
             epoch: 0,
             rng: StdRng::seed_from_u64(seed),
         }
@@ -109,7 +104,7 @@ impl ShardInner {
                 if self.int_of_ext.get(&ext) != Some(&int) {
                     return None;
                 }
-                Some((ext, embedding_distance(q, &self.vecs[&ext])))
+                Some((ext, embedding_distance(q, self.hnsw.vector(int))))
             })
             .collect()
     }
@@ -117,13 +112,13 @@ impl ShardInner {
     /// Rebuild the HNSW from the live vectors (drops every tombstone).
     /// Deterministic: ids are re-inserted in ascending external order.
     fn compact(&mut self, dim: usize, cfg: &ShardSetConfig) {
-        let mut ids: Vec<u64> = self.vecs.keys().copied().collect();
-        ids.sort_unstable();
-        let mut hnsw = new_hnsw(dim, cfg);
-        let mut ext_of_int = Vec::with_capacity(ids.len());
-        let mut int_of_ext = HashMap::with_capacity(ids.len());
-        for &id in &ids {
-            let int = hnsw.insert(&self.vecs[&id], &mut self.rng);
+        let mut live: Vec<(u64, usize)> = self.int_of_ext.iter().map(|(&e, &i)| (e, i)).collect();
+        live.sort_unstable();
+        let mut hnsw = Hnsw::new(dim, cfg.hnsw);
+        let mut ext_of_int = Vec::with_capacity(live.len());
+        let mut int_of_ext = HashMap::with_capacity(live.len());
+        for &(id, old) in &live {
+            let int = hnsw.insert(self.hnsw.vector(old), &mut self.rng);
             ext_of_int.push(id);
             int_of_ext.insert(id, int);
         }
@@ -132,14 +127,6 @@ impl ShardInner {
         self.int_of_ext = int_of_ext;
         self.epoch += 1;
         metrics::counter_add(SERVE_COMPACTIONS_TOTAL, 1);
-    }
-}
-
-fn new_hnsw(dim: usize, cfg: &ShardSetConfig) -> Hnsw {
-    if cfg.quantized {
-        Hnsw::new_quantized(dim, cfg.hnsw)
-    } else {
-        Hnsw::new(dim, cfg.hnsw)
     }
 }
 
@@ -292,7 +279,6 @@ impl ShardSet {
         debug_assert_eq!(int, inner.ext_of_int.len());
         inner.ext_of_int.push(id);
         inner.int_of_ext.insert(id, int);
-        inner.vecs.insert(id, v.to_vec());
         inner.epoch += 1;
         metrics::counter_add(SERVE_INSERTS_TOTAL, 1);
         let (len, tomb) = (inner.hnsw.len(), inner.hnsw.tombstones());
@@ -321,7 +307,6 @@ impl ShardSet {
                 inner.hnsw.reserve(count);
                 inner.ext_of_int.reserve(count);
                 inner.int_of_ext.reserve(count);
-                inner.vecs.reserve(count);
             }
         }
         for i in 0..store.len() {
@@ -338,7 +323,6 @@ impl ShardSet {
             return Ok(false);
         };
         inner.hnsw.remove(int);
-        inner.vecs.remove(&id);
         inner.epoch += 1;
         metrics::counter_add(SERVE_DELETES_TOTAL, 1);
         Ok(true)
@@ -353,7 +337,8 @@ impl ShardSet {
     /// The exact stored embedding for `id`, if live.
     pub fn get_vec(&self, id: u64) -> Option<Vec<f32>> {
         let s = self.shard_of(id);
-        self.read_shard(s).and_then(|g| g.vecs.get(&id).cloned())
+        let inner = self.read_shard(s)?;
+        inner.int_of_ext.get(&id).map(|&int| inner.hnsw.vector(int).to_vec())
     }
 
     /// Approximate top-`k` with exact rerank, scatter-gathered across every
@@ -422,8 +407,12 @@ impl ShardSet {
         let mut candidates = Vec::new();
         for s in 0..self.shards.len() {
             let Some(inner) = self.read_shard(s) else { continue };
-            candidates
-                .extend(inner.vecs.iter().map(|(&id, v)| (id, embedding_distance(q, v))));
+            candidates.extend(
+                inner
+                    .int_of_ext
+                    .iter()
+                    .map(|(&id, &int)| (id, embedding_distance(q, inner.hnsw.vector(int)))),
+            );
         }
         Ok(merge_topk64(candidates, k))
     }
@@ -609,7 +598,7 @@ mod tests {
         // 400 scattered vectors over 2 shards with a shortlist as large as
         // the corpus: each shard's HNSW walk returns its whole live set, so
         // the reranked scatter-gather must equal the exact scan bit for bit,
-        // f32 and int8 alike, including every top-k split across shards.
+        // including every top-k split across shards.
         let dim = 6;
         let vectors: Vec<Vec<f32>> = (0..400usize)
             .map(|i| {
@@ -618,42 +607,32 @@ mod tests {
                     .collect()
             })
             .collect();
-        for quantized in [false, true] {
-            let cfg = ShardSetConfig {
-                shards: 2,
-                hnsw: HnswConfig { m: 12, ef_construction: 120, ef_search: 80 },
-                quantized,
-                shortlist: 400,
-                seed: 17,
-                ..Default::default()
-            };
-            let set = ShardSet::new(dim, cfg);
-            for (id, v) in vectors.iter().enumerate() {
-                set.insert(id as u64, v).unwrap();
-            }
-            let bits = |top: Vec<(u64, f64)>| -> Vec<(u64, u64)> {
-                top.into_iter().map(|(id, d)| (id, d.to_bits())).collect()
-            };
-            let mut straddling = 0usize;
-            for qi in 0..40usize {
-                let q: Vec<f32> =
-                    (0..dim).map(|d| ((qi * 13 + d * 29) % 100) as f32 / 100.0).collect();
-                let exact = set.query_exact(&q, 10).unwrap();
-                let shard0 = exact.iter().filter(|&&(id, _)| set.shard_of(id) == 0).count();
-                if shard0 > 0 && shard0 < exact.len() {
-                    straddling += 1;
-                }
-                assert_eq!(
-                    bits(set.query(&q, 10).unwrap()),
-                    bits(exact),
-                    "quantized={quantized} query {qi}"
-                );
-            }
-            assert!(
-                straddling >= 30,
-                "quantized={quantized}: test vacuous, only {straddling}/40 top-10s straddle shards"
-            );
+        let cfg = ShardSetConfig {
+            shards: 2,
+            hnsw: HnswConfig { m: 12, ef_construction: 120, ef_search: 80 },
+            shortlist: 400,
+            seed: 17,
+            ..Default::default()
+        };
+        let set = ShardSet::new(dim, cfg);
+        for (id, v) in vectors.iter().enumerate() {
+            set.insert(id as u64, v).unwrap();
         }
+        let bits = |top: Vec<(u64, f64)>| -> Vec<(u64, u64)> {
+            top.into_iter().map(|(id, d)| (id, d.to_bits())).collect()
+        };
+        let mut straddling = 0usize;
+        for qi in 0..40usize {
+            let q: Vec<f32> =
+                (0..dim).map(|d| ((qi * 13 + d * 29) % 100) as f32 / 100.0).collect();
+            let exact = set.query_exact(&q, 10).unwrap();
+            let shard0 = exact.iter().filter(|&&(id, _)| set.shard_of(id) == 0).count();
+            if shard0 > 0 && shard0 < exact.len() {
+                straddling += 1;
+            }
+            assert_eq!(bits(set.query(&q, 10).unwrap()), bits(exact), "query {qi}");
+        }
+        assert!(straddling >= 30, "test vacuous, only {straddling}/40 top-10s straddle shards");
     }
 
     #[test]
@@ -678,6 +657,14 @@ mod tests {
         assert_eq!(status.live, 17);
         let q = vec_for(20, 4);
         assert_eq!(set.query(&q, 1).unwrap()[0].0, 20, "live ids survive the rebuild");
+        // The rebuild copies each row out of the old graph: every live id
+        // keeps its inserted vector bit for bit.
+        let bits = |v: Vec<f32>| -> Vec<u32> { v.into_iter().map(f32::to_bits).collect() };
+        for id in (16..32).chain([100]) {
+            let got = set.get_vec(id).unwrap_or_else(|| panic!("id {id} lost by the rebuild"));
+            assert_eq!(bits(got), bits(vec_for(id, 4)), "id {id} vector changed");
+        }
+        assert_eq!(set.get_vec(3), None, "a deleted id has no vector");
     }
 
     #[test]

@@ -1,17 +1,14 @@
-//! Quantization quality gate (Table II harness): a `ShardSet` holding
-//! int8-quantized vectors, with its exact f32 rerank, must reproduce the
-//! full-precision hitting ratio to within 0.5% absolute at every shortlist
-//! size of the sweep documented in EXPERIMENTS.md.
+//! Shortlist quality gate (Table II harness): a `ShardSet`'s HNSW
+//! shortlist plus exact rerank must reproduce the exact scan's hitting
+//! ratio to within 0.5% absolute at every shortlist size of the sweep
+//! documented in EXPERIMENTS.md.
 //!
 //! Protocol: encode a synthetic clustered dataset with TMN-NM, rank
 //! ground-truth neighbours by DTW (the Table II protocol), then compare
-//! HR@10 of (a) exact f32 linear scan and (b) the int8 shard's HNSW
-//! shortlist + exact f32 rerank. The rerank step rescores the shortlist
-//! against the exact embeddings, so with a shortlist a few times k the only
-//! quality risk is a true neighbour falling outside the (slightly
-//! perturbed) shortlist. The int8 storage bound itself (≤ 30% of the f32
-//! bytes at d = 16) is gated in `tmn-index` by
-//! `quantized_store_is_under_30_percent_of_f32`.
+//! HR@10 of (a) exact f32 linear scan and (b) the shard's HNSW shortlist +
+//! exact rerank. The rerank rescores the shortlist exactly, so the only
+//! quality risk is a true neighbour falling outside the approximate
+//! shortlist.
 //!
 //! Run with `--nocapture` to see the sweep.
 
@@ -51,7 +48,7 @@ fn hits10(ranked: impl Iterator<Item = usize>, q: usize, truth: &[usize]) -> usi
 }
 
 #[test]
-fn int8_rerank_reproduces_f32_hitting_ratio() {
+fn shortlist_rerank_reproduces_exact_hitting_ratio() {
     let trajs = clustered_trajs();
     let model = ModelKind::TmnNm.build(&ModelConfig { dim: 16, seed: 21 });
     let emb = encode_all(model.as_ref(), &trajs, 16);
@@ -72,27 +69,21 @@ fn int8_rerank_reproduces_f32_hitting_ratio() {
     let slots = 10 * queries.len();
     let hr = |hits: usize| hits as f64 / slots as f64;
 
-    let f32_hits: usize = queries
+    let exact_hits: usize = queries
         .iter()
         .zip(&truth)
         .map(|(&q, t)| hits10(store.knn_exact(&emb[q], 11).into_iter().map(|(i, _)| i), q, t))
         .sum();
-    let hr_f32 = hr(f32_hits);
+    let hr_exact = hr(exact_hits);
 
-    println!("shortlist sweep (HR@10 f32 = {hr_f32:.4}):");
+    println!("shortlist sweep (HR@10 exact scan = {hr_exact:.4}):");
     for shortlist in SHORTLISTS {
         // One shard seeded like a standalone index: the shortlist is the
-        // HNSW beam, the rerank is exact f32.
-        let cfg = ShardSetConfig {
-            shards: 1,
-            quantized: true,
-            shortlist,
-            seed: 33,
-            ..Default::default()
-        };
+        // HNSW beam, the rerank is exact.
+        let cfg = ShardSetConfig { shards: 1, shortlist, seed: 33, ..Default::default() };
         let set = ShardSet::new(store.dim(), cfg);
         set.warm_load(&store).unwrap();
-        let int8_hits: usize = queries
+        let hnsw_hits: usize = queries
             .iter()
             .zip(&truth)
             .map(|(&q, t)| {
@@ -100,12 +91,13 @@ fn int8_rerank_reproduces_f32_hitting_ratio() {
                 hits10(top.into_iter().map(|(id, _)| id as usize), q, t)
             })
             .sum();
-        let hr_int8 = hr(int8_hits);
-        println!("  shortlist {shortlist:3}: HR@10 {hr_int8:.4} (delta {:+.4})", hr_int8 - hr_f32);
+        let hr_hnsw = hr(hnsw_hits);
+        let delta = hr_hnsw - hr_exact;
+        println!("  shortlist {shortlist:3}: HR@10 {hr_hnsw:.4} (delta {delta:+.4})");
         assert!(
-            200 * int8_hits.abs_diff(f32_hits) <= slots,
-            "shortlist {shortlist}: HR@10 moved by more than 0.005 under int8+rerank \
-             (f32 {hr_f32:.4}, int8 {hr_int8:.4})"
+            200 * hnsw_hits.abs_diff(exact_hits) <= slots,
+            "shortlist {shortlist}: HR@10 moved by more than 0.005 under shortlist+rerank \
+             (exact {hr_exact:.4}, shortlist {hr_hnsw:.4})"
         );
     }
 }

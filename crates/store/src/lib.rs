@@ -7,7 +7,7 @@
 //! distances through views over a file instead of `Vec`s rebuilt per run.
 //!
 //! Three file kinds share one CRC-framed `TMNS` header discipline (grown
-//! from the checkpoint-v2 format; see [`format`]):
+//! from the checkpoint-v2 format; see [`format`](mod@format)):
 //!
 //! - [`EmbeddingsFile`] / [`EmbeddingsWriter`] — a row-major f32 matrix.
 //!   Rows come back as `&[f32]` borrowed straight from the mapping.

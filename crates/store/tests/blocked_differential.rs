@@ -61,15 +61,18 @@ fn assert_bitwise_equal(dense: &DistanceMatrix, blocked: &BlockedDistanceMatrix,
 #[test]
 fn blocked_matches_dense_across_tile_sizes() {
     // n=33 with tile 8 exercises ragged edge blocks; tile 64 puts the whole
-    // matrix in one tile; tile 1 makes every cell its own tile.
-    let trajs = random_trajs(33, 11);
+    // matrix in one tile; tile 1 makes every cell its own tile. n=0 and
+    // n=1 are the empty and the single-cell matrix.
     let params = MetricParams::default();
-    let dense = DistanceMatrix::compute(&trajs, Metric::Dtw, &params, 2);
-    for tile in [1usize, 8, 64] {
-        let p = tmp(&format!("tiles-{tile}.tmns"));
-        let blocked =
-            BlockedDistanceMatrix::compute(&p, &trajs, Metric::Dtw, &params, 2, tile).unwrap();
-        assert_bitwise_equal(&dense, &blocked, &format!("tile={tile}"));
+    for n in [0usize, 1, 33] {
+        let trajs = random_trajs(n, 11);
+        let dense = DistanceMatrix::compute(&trajs, Metric::Dtw, &params, 2);
+        for tile in [1usize, 8, 64] {
+            let p = tmp(&format!("tiles-{n}-{tile}.tmns"));
+            let blocked =
+                BlockedDistanceMatrix::compute(&p, &trajs, Metric::Dtw, &params, 2, tile).unwrap();
+            assert_bitwise_equal(&dense, &blocked, &format!("n={n} tile={tile}"));
+        }
     }
 }
 

@@ -113,6 +113,9 @@ impl DistanceMatrix {
         threads: usize,
     ) -> DistanceMatrix {
         let n = trajectories.len();
+        if n == 0 {
+            return DistanceMatrix { n, data: Vec::new() };
+        }
         let mut data = vec![0.0f64; n * n];
         let threads = threads.max(1);
         // Row i contributes n-1-i upper-triangle cells, so a plain round-robin

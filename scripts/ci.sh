@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CI gate: release build, full test suite, zero-warning clippy.
+# CI gate: release build, full test suite, zero-warning clippy and rustdoc.
 # Run from the repository root: ./scripts/ci.sh
 #
 # CI leaves the tree as it found it. Bins that write `results/` relative to
@@ -31,6 +31,10 @@ cargo test -q --workspace
 
 echo "== clippy (-D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== rustdoc (-D warnings) =="
+# Fails on a doc link to a deleted or private item, and on malformed doc HTML.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "== recurrent graph-node budget (<=3 nodes per step) =="
 cargo run --release -p tmn-bench --bin profile -- --nodes

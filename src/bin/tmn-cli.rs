@@ -104,6 +104,9 @@ fn cmd_train(flags: &HashMap<String, String>) -> Result<(), String> {
     let epochs: usize = flags.get("epochs").and_then(|s| s.parse().ok()).unwrap_or(8);
     let seed: u64 = flags.get("seed").and_then(|s| s.parse().ok()).unwrap_or(42);
     let train_ratio: f64 = flags.get("train-ratio").and_then(|s| s.parse().ok()).unwrap_or(0.2);
+    if !(0.0..=1.0).contains(&train_ratio) {
+        return Err(format!("--train-ratio must be in [0, 1], got {train_ratio}"));
+    }
     let out = flags.get("out").ok_or("--out <path-prefix> is required")?;
 
     let kept = filter(raw, &FilterConfig::default());
@@ -113,6 +116,12 @@ fn cmd_train(flags: &HashMap<String, String>) -> Result<(), String> {
     let normalizer = Normalizer::fit(&kept);
     let normalized = normalizer.transform_all(&kept);
     let (train, _) = train_test_split(&normalized, train_ratio);
+    if train.len() < 2 {
+        return Err(format!(
+            "--train-ratio {train_ratio} leaves {} training trajectories; need at least 2",
+            train.len()
+        ));
+    }
     println!("training {} on {} trajectories under {metric} (d={dim}, {epochs} epochs)...", kind.name(), train.len());
     let params = MetricParams::default();
     let dmat = DistanceMatrix::compute(&train, metric, &params, 2);
@@ -189,6 +198,10 @@ fn cmd_search(flags: &HashMap<String, String>) -> Result<(), String> {
 fn cmd_eval(flags: &HashMap<String, String>) -> Result<(), String> {
     let (model, meta) = load_model(flags)?;
     let test = test_partition(&meta, load_data(flags)?);
+    if test.is_empty() {
+        let ratio = meta.train_ratio;
+        return Err(format!("no test trajectories (model trained at --train-ratio {ratio})"));
+    }
     let metric: Metric = meta.metric.parse()?;
     let nq: usize = flags.get("queries").and_then(|s| s.parse().ok()).unwrap_or(50);
     let queries: Vec<usize> = (0..nq.min(test.len())).collect();
