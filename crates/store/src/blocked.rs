@@ -9,9 +9,10 @@
 //! triangle order. An off-diagonal tile holds the full `rows × cols` f64
 //! rectangle; a diagonal tile holds its full square (zero diagonal, lower
 //! half mirrored in-tile) so row reads never straddle a fold. Every cell
-//! `i < j` is produced by exactly the same `metric.distance(i, j)` call the
-//! in-RAM path makes, which is why the two paths are bitwise-equal
-//! (differentially tested in `tests/blocked_differential.rs`).
+//! `i < j` comes from the same [`Metric::distances_into`] kernel the in-RAM
+//! path uses, which sets each cell to the bits of `metric.distance(i, j)`;
+//! that is why the two paths are bitwise-equal (differentially tested, and
+//! checked against `distance` itself, in `tests/blocked_differential.rs`).
 //!
 //! Peak memory while *building* is O(threads · t²) — the tiles in flight —
 //! plus the tile directory; never O(n²).
@@ -42,11 +43,10 @@
 //! contract as an in-RAM matrix whose buffer rotted, except it is detected.
 
 use crate::format::{
-    cast_f64, check_header, crc32, read_u32, read_u64, StoreError, HEADER_LEN, KIND_TILES,
-    MAGIC, VERSION,
+    cast_f64, check_header, crc32, read_u32, read_u64, StagedFile, StoreError, HEADER_LEN,
+    KIND_TILES, MAGIC, VERSION,
 };
 use crate::mmap::Mmap;
-use std::fs::File;
 use std::io::{BufWriter, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -99,8 +99,13 @@ fn block_extent(b: usize, n: usize, tile: usize) -> (usize, usize) {
 impl BlockedDistanceMatrix {
     /// Compute the full pairwise matrix for `trajectories` into `path`,
     /// tiled, with `threads` workers computing tiles in parallel, then
-    /// reopen it. Cell values are bitwise-identical to
+    /// reopen it. Each tile row is one [`Metric::distances_into`] call, so
+    /// cell values are bitwise-identical to
     /// [`tmn_traj::DistanceMatrix::compute`] on the same inputs.
+    ///
+    /// The file is written under a temporary name and renamed over `path`
+    /// once complete: a matrix already open on `path` keeps reading the old
+    /// file, and a failed or crashed build leaves it in place.
     pub fn compute(
         path: &Path,
         trajectories: &[Trajectory],
@@ -115,7 +120,8 @@ impl BlockedDistanceMatrix {
         let total_tiles = nb * (nb + 1) / 2;
         let threads = threads.max(1);
 
-        let mut out = BufWriter::new(File::create(path)?);
+        let (staged, file) = StagedFile::create(path)?;
+        let mut out = BufWriter::new(file);
         out.write_all(&[0u8; HEADER_LEN])?;
 
         let next = AtomicUsize::new(0);
@@ -198,8 +204,7 @@ impl BlockedDistanceMatrix {
         header[36..40].copy_from_slice(&hcrc.to_le_bytes());
         file.seek(SeekFrom::Start(0))?;
         file.write_all(&header)?;
-        file.sync_all()?;
-        drop(file);
+        staged.commit(file)?;
 
         Self::open(path)
     }
@@ -437,9 +442,10 @@ fn tile_coords(t: usize, nb: usize) -> (usize, usize) {
     panic!("tile index {t} out of range for nb={nb}");
 }
 
-/// One tile's payload, row-major `rows × cols`. Every `i < j` cell is the
-/// identical `metric.distance` call the dense path makes; diagonal tiles
-/// fill `i > j` by in-tile mirror and `i == j` with 0.
+/// One tile's payload, row-major `rows × cols`. Row `i`'s cells `j > i`
+/// come from one [`Metric::distances_into`] call over the contiguous column
+/// run, as in the dense path; diagonal tiles fill `i > j` by in-tile mirror
+/// and `i == j` with 0.
 fn compute_tile(
     trajectories: &[Trajectory],
     metric: Metric,
@@ -454,17 +460,15 @@ fn compute_tile(
     let mut payload = vec![0.0f64; rows * cols];
     for r in 0..rows {
         let i = r0 + r;
-        for c in 0..cols {
-            let j = c0 + c;
-            payload[r * cols + c] = match i.cmp(&j) {
-                std::cmp::Ordering::Less => {
-                    metric.distance(&trajectories[i], &trajectories[j], params)
-                }
-                std::cmp::Ordering::Equal => 0.0,
-                // Diagonal tile lower half: mirror of the upper half already
-                // computed this tile (j - r0 < r ⇒ earlier row).
-                std::cmp::Ordering::Greater => payload[(j - r0) * cols + (i - c0)],
-            };
+        // Cells j > i: the contiguous run from max(c0, i + 1) to the tile's
+        // edge (the whole row off the diagonal).
+        let lo = c0.max(i + 1);
+        let (a, bs) = (&trajectories[i], &trajectories[lo..c0 + cols]);
+        metric.distances_into(a, bs, params, &mut payload[r * cols + (lo - c0)..(r + 1) * cols]);
+        // Diagonal tile lower half (r0 == c0): mirror of the upper half of
+        // an earlier row (j − r0 < r); the cell j == i stays 0.
+        for j in c0..i {
+            payload[r * cols + (j - c0)] = payload[(j - r0) * cols + (i - c0)];
         }
     }
     payload

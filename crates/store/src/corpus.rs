@@ -21,8 +21,8 @@
 //! header at the end — building a corpus never holds its points in RAM.
 
 use crate::format::{
-    cast_f64, cast_u64, check_header, crc32, read_u32, read_u64, Crc32, StoreError, HEADER_LEN,
-    KIND_CORPUS, MAGIC, VERSION,
+    cast_f64, cast_u64, check_header, crc32, read_u32, read_u64, Crc32, StagedFile, StoreError,
+    HEADER_LEN, KIND_CORPUS, MAGIC, VERSION,
 };
 use crate::mmap::Mmap;
 use std::fs::File;
@@ -182,18 +182,22 @@ impl CorpusFile {
 /// arrive; only the prefix index (8 bytes per trajectory) stays in memory.
 pub struct CorpusWriter {
     out: BufWriter<File>,
+    staged: StagedFile,
     index: Vec<u64>,
     crc: Crc32,
     scratch: Vec<u8>,
 }
 
 impl CorpusWriter {
-    /// Create/truncate `path`; header is patched on
-    /// [`finish`](CorpusWriter::finish).
+    /// Start a corpus file for `path`. It is written under a temporary
+    /// sibling name and replaces `path` on [`finish`](CorpusWriter::finish),
+    /// which patches the header; a writer dropped before that removes its
+    /// temporary file and leaves `path` untouched.
     pub fn create(path: &Path) -> Result<CorpusWriter, StoreError> {
-        let mut out = BufWriter::new(File::create(path)?);
+        let (staged, file) = StagedFile::create(path)?;
+        let mut out = BufWriter::new(file);
         out.write_all(&[0u8; HEADER_LEN])?;
-        Ok(CorpusWriter { out, index: vec![0], crc: Crc32::new(), scratch: Vec::new() })
+        Ok(CorpusWriter { out, staged, index: vec![0], crc: Crc32::new(), scratch: Vec::new() })
     }
 
     /// Append one trajectory.
@@ -219,9 +223,10 @@ impl CorpusWriter {
         self.len() == 0
     }
 
-    /// Seal the file: append the index, patch the header, fsync.
+    /// Seal the file: append the index, patch the header, fsync, and
+    /// rename it over the destination.
     pub fn finish(self) -> Result<(), StoreError> {
-        let CorpusWriter { mut out, index, crc, .. } = self;
+        let CorpusWriter { mut out, staged, index, crc, .. } = self;
         let mut index_bytes = Vec::with_capacity(index.len() * 8);
         for v in &index {
             index_bytes.extend_from_slice(&v.to_le_bytes());
@@ -243,8 +248,7 @@ impl CorpusWriter {
         header[40..44].copy_from_slice(&hcrc.to_le_bytes());
         file.seek(SeekFrom::Start(0))?;
         file.write_all(&header)?;
-        file.sync_all()?;
-        Ok(())
+        staged.commit(file)
     }
 }
 

@@ -14,7 +14,7 @@
 //! ```
 
 use crate::format::{
-    cast_f32, check_header, crc32, read_u32, read_u64, Crc32, StoreError, HEADER_LEN,
+    cast_f32, check_header, crc32, read_u32, read_u64, Crc32, StagedFile, StoreError, HEADER_LEN,
     KIND_EMBEDDINGS, MAGIC, VERSION,
 };
 use crate::mmap::Mmap;
@@ -160,6 +160,7 @@ impl EmbeddingsFile {
 /// an n-row matrix holds O(1) memory.
 pub struct EmbeddingsWriter {
     out: BufWriter<File>,
+    staged: StagedFile,
     dim: usize,
     count: u64,
     crc: Crc32,
@@ -167,14 +168,19 @@ pub struct EmbeddingsWriter {
 }
 
 impl EmbeddingsWriter {
-    /// Create/truncate `path`. A placeholder header is written immediately
-    /// and patched on [`finish`](EmbeddingsWriter::finish); a crashed writer
-    /// leaves a file whose header CRC cannot validate.
+    /// Start an embeddings file for `path`. It is written under a temporary
+    /// sibling name, with a placeholder header that
+    /// [`finish`](EmbeddingsWriter::finish) patches before renaming the file
+    /// over `path`. Until then `path` is untouched: a writer dropped early
+    /// removes its temporary file, and a crashed one leaves the previous
+    /// file (or none) at `path`.
     pub fn create(path: &Path, dim: usize) -> Result<EmbeddingsWriter, StoreError> {
-        let mut out = BufWriter::new(File::create(path)?);
+        let (staged, file) = StagedFile::create(path)?;
+        let mut out = BufWriter::new(file);
         out.write_all(&[0u8; HEADER_LEN])?;
         Ok(EmbeddingsWriter {
             out,
+            staged,
             dim,
             count: 0,
             crc: Crc32::new(),
@@ -205,9 +211,10 @@ impl EmbeddingsWriter {
         self.count == 0
     }
 
-    /// Seal the file: flush rows, patch the real header, fsync.
+    /// Seal the file: flush rows, patch the real header, fsync, and rename
+    /// it over the destination.
     pub fn finish(self) -> Result<(), StoreError> {
-        let EmbeddingsWriter { out, dim, count, crc, .. } = self;
+        let EmbeddingsWriter { out, staged, dim, count, crc, .. } = self;
         let mut file = out.into_inner().map_err(|e| StoreError::Io(e.into_error()))?;
         let mut header = [0u8; HEADER_LEN];
         header[..4].copy_from_slice(MAGIC);
@@ -221,8 +228,7 @@ impl EmbeddingsWriter {
         header[36..40].copy_from_slice(&hcrc.to_le_bytes());
         file.seek(SeekFrom::Start(0))?;
         file.write_all(&header)?;
-        file.sync_all()?;
-        Ok(())
+        staged.commit(file)
     }
 }
 
@@ -283,7 +289,7 @@ mod tests {
         let p = tmp("unfinished.tmns");
         let mut w = EmbeddingsWriter::create(&p, 2).unwrap();
         w.push(&[1.0, 2.0]).unwrap();
-        drop(w); // no finish(): header stays zeroed
+        drop(w); // no finish(): the temporary file is removed, nothing appears at `p`
         assert!(EmbeddingsFile::open(&p).is_err());
     }
 

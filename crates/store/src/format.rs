@@ -20,6 +20,14 @@
 //! Payload starts at byte 64 ([`DATA_ALIGN`]); with the mapping base
 //! page-aligned, every payload section is aligned for its element type and
 //! can be reinterpreted in place.
+//!
+//! Every writer builds its file under a temporary sibling name and renames
+//! it over the destination only once the file is sealed and synced, so a
+//! file at its path is never rewritten in place.
+
+use std::fs::File;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// File magic for every tmn-store file.
 pub const MAGIC: &[u8; 4] = b"TMNS";
@@ -207,6 +215,66 @@ pub(crate) fn check_header(bytes: &[u8], kind: u32, crc_end: usize) -> Result<()
         return Err(StoreError::Corrupt("nonzero header padding"));
     }
     Ok(())
+}
+
+// ---------------------------------------------------------------------------
+// Writing
+// ---------------------------------------------------------------------------
+
+/// A store file being written. The bytes go to a temporary sibling of the
+/// destination, named uniquely per writer; [`commit`](StagedFile::commit)
+/// fsyncs it, renames it over the destination and syncs the directory. A
+/// mapping of the file that was there keeps its old inode, and a crash
+/// before the rename leaves that file in place. Dropped without `commit`,
+/// it removes the temporary file (ignoring any error).
+pub(crate) struct StagedFile {
+    tmp: PathBuf,
+    dest: PathBuf,
+    committed: bool,
+}
+
+impl StagedFile {
+    /// Create the temporary file for `dest`.
+    pub(crate) fn create(dest: &Path) -> Result<(StagedFile, File), StoreError> {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let Some(name) = dest.file_name() else {
+            return Err(StoreError::Io(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "store path has no file name",
+            )));
+        };
+        let mut tmp_name = name.to_os_string();
+        let seq = NEXT.fetch_add(1, Ordering::Relaxed);
+        tmp_name.push(format!(".{}-{seq}.tmp", std::process::id()));
+        let tmp = dest.with_file_name(tmp_name);
+        let file = File::create(&tmp)?;
+        Ok((StagedFile { tmp, dest: dest.to_path_buf(), committed: false }, file))
+    }
+
+    /// Sync `file` (the one [`create`](StagedFile::create) returned),
+    /// rename it over the destination, and sync the directory.
+    pub(crate) fn commit(mut self, file: File) -> Result<(), StoreError> {
+        file.sync_all()?;
+        drop(file);
+        std::fs::rename(&self.tmp, &self.dest)?;
+        self.committed = true;
+        if cfg!(unix) {
+            let dir = match self.dest.parent() {
+                Some(d) if !d.as_os_str().is_empty() => d,
+                _ => Path::new("."),
+            };
+            File::open(dir)?.sync_all()?;
+        }
+        Ok(())
+    }
+}
+
+impl Drop for StagedFile {
+    fn drop(&mut self) {
+        if !self.committed {
+            let _ = std::fs::remove_file(&self.tmp);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -10,10 +10,14 @@
 //! `&[f64]`) over the mapping:
 //!
 //! - The mapping is `PROT_READ` + `MAP_PRIVATE`: the kernel never lets safe
-//!   code write through it, and writes to the underlying file by *other*
-//!   processes are not guaranteed to be visible (private mapping) — the
-//!   store formats are immutable-once-written and CRC-framed precisely so
-//!   that any torn/bit-rotted content is detected rather than trusted.
+//!   code write through it. `MAP_PRIVATE` does not hide later writes to the
+//!   file, and a file truncated under a mapping faults (`SIGBUS`) on the
+//!   pages past its new end. So the store's writers never touch a file in
+//!   place: each builds a temporary sibling and renames it over the path,
+//!   and an open mapping keeps the old inode. Other programs that rewrite a
+//!   mapped file in place are outside this contract; the formats are
+//!   CRC-framed so that torn or bit-rotted content is detected rather than
+//!   trusted.
 //! - The pointer is page-aligned (4096 ≥ any alignment we cast to) and the
 //!   length is fixed at open from `fstat`; slices never extend past it.
 //! - `f32`/`f64` have no invalid bit patterns, so reinterpreting validated

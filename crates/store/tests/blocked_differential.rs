@@ -1,7 +1,9 @@
 //! Differential oracle: the blocked, out-of-core ground truth must be
 //! *bitwise* identical to the dense in-RAM `DistanceMatrix` on the same
 //! inputs — across metrics, tile sizes (including ragged edges and
-//! degenerate tile=1), and worker counts.
+//! degenerate tile=1), and worker counts. Both builders fill their rows
+//! through `Metric::distances_into`, so every upper-triangle cell is also
+//! checked against the single-pair `Metric::distance`.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -19,7 +21,7 @@ fn random_trajs(n: usize, seed: u64) -> Vec<Trajectory> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..n)
         .map(|_| {
-            let len = rng.gen_range(3..12);
+            let len = rng.gen_range(1..40);
             let (mut lon, mut lat) = (rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0));
             (0..len)
                 .map(|_| {
@@ -32,9 +34,24 @@ fn random_trajs(n: usize, seed: u64) -> Vec<Trajectory> {
         .collect()
 }
 
-fn assert_bitwise_equal(dense: &DistanceMatrix, blocked: &BlockedDistanceMatrix, label: &str) {
+fn assert_bitwise_equal(
+    dense: &DistanceMatrix,
+    blocked: &BlockedDistanceMatrix,
+    trajs: &[Trajectory],
+    metric: Metric,
+    params: &MetricParams,
+    label: &str,
+) {
     let n = dense.len();
     assert_eq!(blocked.len(), n, "{label}: dimension");
+    // The independent oracle: one `distance` call per upper-triangle cell.
+    for i in 0..n {
+        for j in i + 1..n {
+            let want = metric.distance(&trajs[i], &trajs[j], params);
+            assert_eq!(dense.get(i, j).to_bits(), want.to_bits(), "{label}: dense ({i},{j})");
+            assert_eq!(blocked.get(i, j).to_bits(), want.to_bits(), "{label}: blocked ({i},{j})");
+        }
+    }
     // Every cell, both triangles and the diagonal.
     for i in 0..n {
         for j in 0..n {
@@ -71,7 +88,8 @@ fn blocked_matches_dense_across_tile_sizes() {
             let p = tmp(&format!("tiles-{n}-{tile}.tmns"));
             let blocked =
                 BlockedDistanceMatrix::compute(&p, &trajs, Metric::Dtw, &params, 2, tile).unwrap();
-            assert_bitwise_equal(&dense, &blocked, &format!("n={n} tile={tile}"));
+            let label = format!("n={n} tile={tile}");
+            assert_bitwise_equal(&dense, &blocked, &trajs, Metric::Dtw, &params, &label);
         }
     }
 }
@@ -86,7 +104,8 @@ fn blocked_matches_dense_across_thread_counts() {
         let blocked =
             BlockedDistanceMatrix::compute(&p, &trajs, Metric::Hausdorff, &params, threads, 7)
                 .unwrap();
-        assert_bitwise_equal(&dense, &blocked, &format!("threads={threads}"));
+        let label = format!("threads={threads}");
+        assert_bitwise_equal(&dense, &blocked, &trajs, Metric::Hausdorff, &params, &label);
     }
 }
 
@@ -98,7 +117,7 @@ fn blocked_matches_dense_across_metrics() {
         let dense = DistanceMatrix::compute(&trajs, metric, &params, 2);
         let p = tmp(&format!("metric-{metric:?}.tmns"));
         let blocked = BlockedDistanceMatrix::compute(&p, &trajs, metric, &params, 2, 6).unwrap();
-        assert_bitwise_equal(&dense, &blocked, &format!("{metric:?}"));
+        assert_bitwise_equal(&dense, &blocked, &trajs, metric, &params, &format!("{metric:?}"));
     }
 }
 
@@ -111,5 +130,5 @@ fn reopened_file_stays_bitwise_equal() {
     drop(BlockedDistanceMatrix::compute(&p, &trajs, Metric::Dtw, &params, 2, 6).unwrap());
     let reopened = BlockedDistanceMatrix::open(&p).unwrap();
     reopened.verify().unwrap();
-    assert_bitwise_equal(&dense, &reopened, "reopened");
+    assert_bitwise_equal(&dense, &reopened, &trajs, Metric::Dtw, &params, "reopened");
 }

@@ -3,12 +3,14 @@
 //! bytes, and because every header byte is either CRC-covered or
 //! validated-zero — and both payload sections carry their own CRC — *every*
 //! single-bit flip of a valid file must be rejected (walked exhaustively).
+//! The writer side: rebuilding a file under an open mapping, or abandoning
+//! a writer, must leave the file that is already there intact.
 
 use proptest::prelude::*;
 use std::sync::OnceLock;
 use tmn_store::{
-    write_corpus, AlignedBytes, BlockedDistanceMatrix, CorpusView, EmbeddingsView, EmbeddingsWriter,
-    StoreError,
+    write_corpus, AlignedBytes, BlockedDistanceMatrix, CorpusView, CorpusWriter, EmbeddingsView,
+    EmbeddingsWriter, StoreError,
 };
 use tmn_traj::metrics::{Metric, MetricParams};
 use tmn_traj::{Point, Trajectory};
@@ -213,4 +215,76 @@ fn misaligned_header_rejected() {
     let buf = AlignedBytes::from_slice(&padded);
     assert_eq!(EmbeddingsView::parse(&buf[1..]).err().map(|e| format!("{e}")),
                Some("store buffer is not aligned for zero-copy reads".into()));
+}
+
+/// Rebuilding a matrix whose file is mapped must leave the open matrix
+/// readable: a writer that truncated the file in place would cut the pages
+/// past the new end out from under the mapping (SIGBUS on the next read).
+#[test]
+fn rebuild_under_an_open_matrix_keeps_its_pages() {
+    let p = tmpdir().join("rebuild-smaller.tmns");
+    let params = MetricParams::default();
+    let t = trajs(600);
+    let open = BlockedDistanceMatrix::compute(&p, &t, Metric::Dtw, &params, 2, 64).unwrap();
+    let first = open.get(0, 1);
+    let small = BlockedDistanceMatrix::compute(&p, &t[..4], Metric::Dtw, &params, 2, 64).unwrap();
+    assert_eq!(small.len(), 4);
+    assert_eq!(BlockedDistanceMatrix::open(&p).unwrap().len(), 4, "the path holds the rebuild");
+    let want = Metric::Dtw.distance(&t[599], &t[598], &params);
+    assert_eq!(open.get(599, 598).to_bits(), want.to_bits());
+    assert_eq!(open.get(0, 1).to_bits(), first.to_bits());
+}
+
+/// Rebuilding a mapped matrix with the same shape must not change what the
+/// open matrix reads, even in a tile it has already CRC-verified.
+#[test]
+fn rebuild_under_an_open_matrix_keeps_its_values() {
+    let p = tmpdir().join("rebuild-same-shape.tmns");
+    let params = MetricParams::default();
+    let t = trajs(12);
+    let open = BlockedDistanceMatrix::compute(&p, &t, Metric::Hausdorff, &params, 1, 4).unwrap();
+    let before = open.get(0, 8);
+    let moved: Vec<Trajectory> = t
+        .iter()
+        .map(|tr| tr.points().iter().map(|q| Point::new(3.0 * q.lon, q.lat - 1.0)).collect())
+        .collect();
+    let rebuilt =
+        BlockedDistanceMatrix::compute(&p, &moved, Metric::Hausdorff, &params, 1, 4).unwrap();
+    assert_ne!(rebuilt.get(0, 8).to_bits(), before.to_bits(), "the rebuild changes the cell");
+    assert_eq!(open.get(0, 8).to_bits(), before.to_bits());
+    open.verify().unwrap();
+}
+
+/// A writer that never finishes leaves the file already at its path as it
+/// was: dropped, it removes its temporary file; lost in a crash (simulated
+/// with `mem::forget`), it has not touched the path.
+#[test]
+fn unfinished_writers_leave_the_previous_file() {
+    let dir = tmpdir().join("unfinished");
+    std::fs::create_dir_all(&dir).unwrap();
+    let emb = dir.join("emb.tmns");
+    std::fs::write(&emb, embeddings_bytes()).unwrap();
+    let corpus = dir.join("corpus.tmns");
+    std::fs::write(&corpus, corpus_bytes()).unwrap();
+
+    let mut w = EmbeddingsWriter::create(&emb, 3).unwrap();
+    w.push(&[9.0, 9.0, 9.0]).unwrap();
+    drop(w);
+    let mut w = CorpusWriter::create(&corpus).unwrap();
+    w.push(&trajs(1)[0]).unwrap();
+    drop(w);
+    let unchanged = || {
+        std::fs::read(&emb).unwrap() == embeddings_bytes()
+            && std::fs::read(&corpus).unwrap() == corpus_bytes()
+    };
+    assert!(unchanged(), "a dropped writer changed the file at its path");
+    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 2, "temporary files left behind");
+
+    let mut w = EmbeddingsWriter::create(&emb, 3).unwrap();
+    w.push(&[9.0, 9.0, 9.0]).unwrap();
+    std::mem::forget(w);
+    let mut w = CorpusWriter::create(&corpus).unwrap();
+    w.push(&trajs(1)[0]).unwrap();
+    std::mem::forget(w);
+    assert!(unchanged(), "a crashed writer changed the file at its path");
 }

@@ -3,7 +3,9 @@
 //! The training objective compares predicted similarities against
 //! `S = exp(−α·D)` where `D` is the pre-computed pairwise distance matrix
 //! (Section IV-D). Full pairwise computation is O(N²·n²); it is parallelized
-//! across rows with `std::thread::scope` workers.
+//! across rows with `std::thread::scope` workers, and each row's upper
+//! triangle is one [`Metric::distances_into`] call, which gives every cell
+//! the bits of `Metric::distance`.
 
 use crate::metrics::{Metric, MetricParams};
 use crate::Trajectory;
@@ -135,9 +137,8 @@ impl DistanceMatrix {
                     for (i, row) in part {
                         // Symmetric: compute the upper triangle only; the
                         // lower triangle is filled by the mirror pass.
-                        for j in i + 1..n {
-                            row[j] = metric.distance(&trajectories[i], &trajectories[j], params);
-                        }
+                        let (a, bs) = (&trajectories[i], &trajectories[i + 1..]);
+                        metric.distances_into(a, bs, params, &mut row[i + 1..]);
                     }
                 }));
             }

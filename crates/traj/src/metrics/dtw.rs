@@ -1,6 +1,6 @@
 //! Dynamic Time Warping.
 
-use crate::Trajectory;
+use crate::{Point, Trajectory};
 
 /// DTW distance with O(min(m,n)) memory (rolling rows).
 ///
@@ -23,6 +23,69 @@ pub fn dtw(a: &Trajectory, b: &Trajectory) -> f64 {
         std::mem::swap(&mut prev, &mut cur);
     }
     prev[n]
+}
+
+/// Columns per lane group of [`dtw_many`]: one independent DP chain each,
+/// so the lanes hide each other's min–min–add latency. 4 measured best at
+/// the default x86-64 target.
+const LANES: usize = 4;
+
+/// One-against-many DTW: `out[k] = dtw(a, &bs[k])`, bit for bit.
+///
+/// The columns are sorted by length, so that little of a group is padding,
+/// and taken `LANES` at a time, the shorter ones padded with dummy points.
+/// One DP over `a`'s points fills a `[f64; LANES]` lane per column, and
+/// each lane's result is read at its own length. The bits cannot differ
+/// from [`dtw`]'s:
+/// - each cell is `d + min(up, left, diag)`; `f64::min` returns one of its
+///   inputs and no cell is ever `-0.0`, so neither the order of the mins
+///   nor which trajectory is on the outside changes a cell;
+/// - `d` is the same bits in both directions;
+/// - a lane never reads another lane's cells, and a cell past a column's
+///   end feeds only cells further past it.
+///
+/// `up.min(diag)` goes first because it does not wait for `left`: one min
+/// and the add are all that sit on a lane's serial chain.
+pub(crate) fn dtw_many(a: &Trajectory, bs: &[Trajectory], out: &mut [f64]) {
+    let mut order: Vec<usize> = (0..bs.len()).collect();
+    order.sort_by_key(|&k| bs[k].len());
+    if let Some(&shortest) = order.first() {
+        assert!(!a.is_empty() && !bs[shortest].is_empty(), "dtw: empty trajectory");
+    }
+    let longest = order.last().map_or(0, |&k| bs[k].len());
+    let mut xs = vec![[0.0f64; LANES]; longest];
+    let mut ys = vec![[0.0f64; LANES]; longest];
+    let mut row = vec![[0.0f64; LANES]; longest + 1];
+    for group in order.chunks(LANES) {
+        let width = bs[group[group.len() - 1]].len();
+        for lane in 0..LANES {
+            let pts = group.get(lane).map_or(&[][..], |&k| bs[k].points());
+            for j in 0..width {
+                let p = pts.get(j).copied().unwrap_or_default();
+                (xs[j][lane], ys[j][lane]) = (p.lon, p.lat);
+            }
+        }
+        row[0] = [0.0; LANES];
+        row[1..=width].fill([f64::INFINITY; LANES]);
+        for &Point { lon, lat } in a.points() {
+            let mut diag = row[0];
+            let mut left = [f64::INFINITY; LANES];
+            row[0] = [f64::INFINITY; LANES];
+            for ((x, y), slot) in xs[..width].iter().zip(&ys[..width]).zip(&mut row[1..=width]) {
+                let up = *slot;
+                let mut cell = [0.0f64; LANES];
+                for l in 0..LANES {
+                    let (dx, dy) = (lon - x[l], lat - y[l]);
+                    cell[l] = (dx * dx + dy * dy).sqrt() + up[l].min(diag[l]).min(left[l]);
+                }
+                *slot = cell;
+                (diag, left) = (up, cell);
+            }
+        }
+        for (lane, &k) in group.iter().enumerate() {
+            out[k] = row[bs[k].len()][lane];
+        }
+    }
 }
 
 /// DTW distance *and* the optimal warping path as `(i, j)` index pairs —

@@ -73,6 +73,31 @@ impl Metric {
         }
     }
 
+    /// Distances from `a` to every trajectory of `bs`: sets
+    /// `out[k] = self.distance(a, &bs[k], params)`, bit for bit. DTW fills
+    /// the columns in length-sorted lanes; the other metrics call
+    /// [`distance`](Metric::distance) per column.
+    ///
+    /// # Panics
+    /// If `out.len() != bs.len()`, or wherever `distance` would panic.
+    pub fn distances_into(
+        &self,
+        a: &Trajectory,
+        bs: &[Trajectory],
+        params: &MetricParams,
+        out: &mut [f64],
+    ) {
+        assert_eq!(out.len(), bs.len(), "distances_into: one output per column");
+        match self {
+            Metric::Dtw => dtw::dtw_many(a, bs, out),
+            _ => {
+                for (o, b) in out.iter_mut().zip(bs) {
+                    *o = self.distance(a, b, params);
+                }
+            }
+        }
+    }
+
     /// Whether the paper classifies this metric as *matching-based*
     /// (DTW, ERP, EDR, LCSS accumulate per-pair matches; Section V-B1).
     pub fn is_matching_based(&self) -> bool {

@@ -1,6 +1,7 @@
 //! Property tests for the six exact metrics: metric axioms that must hold
-//! for arbitrary trajectories (identity, symmetry, non-negativity) and the
-//! banded-DTW upper-bound guarantee.
+//! for arbitrary trajectories (identity, symmetry, non-negativity), the
+//! banded-DTW upper-bound guarantee, and `Metric::distances_into` against
+//! `Metric::distance` column by column.
 
 use proptest::prelude::*;
 use tmn_traj::metrics::{dtw, dtw_banded, Metric, MetricParams};
@@ -10,6 +11,42 @@ use tmn_traj::{Point, Trajectory};
 fn arb_traj() -> impl Strategy<Value = Trajectory> {
     prop::collection::vec((0.0f64..1.0, 0.0f64..1.0), 1..=12)
         .prop_map(|pts| pts.into_iter().map(|(x, y)| Point::new(x, y)).collect())
+}
+
+/// Columns per lane group of the one-against-many DTW kernel: up to
+/// `2 * LANES + 1` columns give empty, full and ragged groups.
+const LANES: usize = 4;
+
+/// A coordinate in `[-1, 1)`, or one time in three within ±1.5e154, where
+/// the square of a difference overflows to infinity.
+fn arb_coord() -> impl Strategy<Value = f64> {
+    (0u8..3, -1.0f64..1.0).prop_map(|(huge, u)| if huge == 0 { u * 1.5e154 } else { u })
+}
+
+/// A coordinate that is NaN, +inf or -inf about one time in twenty.
+fn arb_wild_coord() -> impl Strategy<Value = f64> {
+    (0u8..60, -1.0f64..1.0).prop_map(|(k, u)| match k {
+        0 => f64::NAN,
+        1 => f64::INFINITY,
+        2 => f64::NEG_INFINITY,
+        _ => u,
+    })
+}
+
+/// 1..=40 points with coordinates from `coord`; about a quarter repeat the
+/// point before them.
+fn arb_column<S: Strategy<Value = f64>>(coord: fn() -> S) -> impl Strategy<Value = Trajectory> {
+    prop::collection::vec((coord(), coord(), 0u8..4), 1..=40).prop_map(|pts| {
+        let mut out: Vec<Point> = Vec::with_capacity(pts.len());
+        for (x, y, repeat) in pts {
+            let p = match out.last() {
+                Some(&prev) if repeat == 0 => prev,
+                _ => Point::new(x, y),
+            };
+            out.push(p);
+        }
+        Trajectory::new(out)
+    })
 }
 
 proptest! {
@@ -100,6 +137,69 @@ proptest! {
                 banded >= full - 1e-9,
                 "banded DTW {banded} below exact DTW {full} (band {band}, {} vs {} points)",
                 a.len(), b.len()
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every metric's `distances_into` equals `distance` per column, bit for
+    /// bit.
+    #[test]
+    fn distances_into_equals_distance(
+        a in arb_column(arb_coord),
+        bs in prop::collection::vec(arb_column(arb_coord), 0..=2 * LANES + 1),
+    ) {
+        let params = MetricParams::default();
+        for m in Metric::ALL {
+            let mut out = vec![f64::NAN; bs.len()];
+            m.distances_into(&a, &bs, &params, &mut out);
+            for (k, b) in bs.iter().enumerate() {
+                let want = m.distance(&a, b, &params);
+                prop_assert_eq!(out[k].to_bits(), want.to_bits(), "{}: column {}", m, k);
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The DTW lanes reproduce `dtw` per column, bit for bit: empty, full
+    /// and ragged lane groups, `a` shorter and longer than its columns,
+    /// repeated points, and squared differences that overflow.
+    #[test]
+    fn dtw_lanes_equal_dtw_bitwise(
+        a in arb_column(arb_coord),
+        bs in prop::collection::vec(arb_column(arb_coord), 0..=2 * LANES + 1),
+    ) {
+        let mut out = vec![f64::NAN; bs.len()];
+        Metric::Dtw.distances_into(&a, &bs, &MetricParams::default(), &mut out);
+        for (k, b) in bs.iter().enumerate() {
+            let want = dtw(&a, b);
+            prop_assert_eq!(
+                out[k].to_bits(), want.to_bits(),
+                "column {} of {}: {} vs {} points", k, bs.len(), a.len(), b.len()
+            );
+        }
+    }
+
+    /// With NaN and infinite coordinates the lanes give the same bits as
+    /// `dtw`, or NaN where `dtw` gives NaN.
+    #[test]
+    fn dtw_lanes_match_dtw_on_non_finite_coordinates(
+        a in arb_column(arb_wild_coord),
+        bs in prop::collection::vec(arb_column(arb_wild_coord), 0..=2 * LANES + 1),
+    ) {
+        let mut out = vec![0.0; bs.len()];
+        Metric::Dtw.distances_into(&a, &bs, &MetricParams::default(), &mut out);
+        for (k, b) in bs.iter().enumerate() {
+            let (got, want) = (out[k], dtw(&a, b));
+            prop_assert!(
+                got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+                "column {k}: lanes {got} vs dtw {want}"
             );
         }
     }

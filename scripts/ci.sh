@@ -29,6 +29,11 @@ cargo build --release --offline --locked --manifest-path tmnbench/Cargo.toml
 echo "== test =="
 cargo test -q --workspace
 
+echo "== test the distance kernels and the store in release =="
+# Debug builds do not vectorize the DTW lanes; the ground-truth builders run
+# the release code, so its bits are checked against the oracles here too.
+cargo test --release -q -p tmn-traj -p tmn-store
+
 echo "== clippy (-D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
