@@ -90,3 +90,100 @@ proptest! {
         prop_assert!(high >= 8, "high-ef recall too low: {high}/10");
     }
 }
+
+/// 64-bit FNV-1a over `knn_ef(q, 10, 64)` and `knn_ef(q, 64, 64)` for every
+/// query — each hit's id and distance bits — and then over every stored row.
+fn hnsw_fingerprint(h: &Hnsw, queries: &[Vec<f32>]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut absorb = |word: u64| {
+        for byte in word.to_le_bytes() {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for q in queries {
+        for k in [10, 64] {
+            for (id, d) in h.knn_ef(q, k, 64) {
+                absorb(id as u64);
+                absorb(u64::from(d.to_bits()));
+            }
+        }
+    }
+    for id in 0..h.len() {
+        for &x in h.vector(id) {
+            absorb(u64::from(x.to_bits()));
+        }
+    }
+    hash
+}
+
+fn uniform_rows(rng: &mut StdRng, n: usize, dim: usize) -> Vec<Vec<f32>> {
+    use rand::Rng;
+    (0..n).map(|_| (0..dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect()).collect()
+}
+
+/// The graph's absolute output bits — each search result and each stored
+/// row — on four builds: the default config over clustered vectors, churn
+/// through the shortlist-widening path, a duplicate-heavy grid where
+/// distance ties reach the frontier and the result list, and removes
+/// interleaved with inserts. The constants were computed before the graph's
+/// internal layout was rewritten; a change to the graph must keep them.
+#[test]
+fn hnsw_bits_are_pinned() {
+    use rand::Rng;
+
+    // Default config, dim 32, 2000 vectors around 20 centres.
+    let mut rng = StdRng::seed_from_u64(101);
+    let centres = uniform_rows(&mut rng, 20, 32);
+    let mut h = Hnsw::new(32, HnswConfig::default());
+    for i in 0..2000 {
+        let v: Vec<f32> =
+            centres[i % 20].iter().map(|&c| c + rng.gen_range(-0.1f32..0.1)).collect();
+        h.insert(&v, &mut rng);
+    }
+    let queries = uniform_rows(&mut rng, 40, 32);
+    assert_eq!(hnsw_fingerprint(&h, &queries), 0xcfbe_5c5a_e344_446a, "default config, dim 32");
+
+    // m 12, dim 8: every third id removed, then more inserts over the
+    // tombstones, so both the insert's live-first selection and the
+    // search's widened beam run.
+    let mut rng = StdRng::seed_from_u64(202);
+    let mut h = Hnsw::new(8, HnswConfig { m: 12, ef_construction: 120, ef_search: 80 });
+    for v in uniform_rows(&mut rng, 600, 8) {
+        h.insert(&v, &mut rng);
+    }
+    for id in (0..600).step_by(3) {
+        h.remove(id);
+    }
+    for v in uniform_rows(&mut rng, 150, 8) {
+        h.insert(&v, &mut rng);
+    }
+    let queries = uniform_rows(&mut rng, 40, 8);
+    assert_eq!(hnsw_fingerprint(&h, &queries), 0x92ee_9707_d082_ea54, "m 12 with tombstones");
+
+    // m 2, dim 2: an 8x8 integer grid inserted three times, so equal
+    // distances are the rule. Queries sit on grid points and cell centres.
+    let mut rng = StdRng::seed_from_u64(303);
+    let mut h = Hnsw::new(2, HnswConfig { m: 2, ef_construction: 8, ef_search: 8 });
+    for round in 0..3 {
+        for cell in 0..64 {
+            let (x, y) = ((cell * 5 + round) % 8, cell / 8);
+            h.insert(&[x as f32, y as f32], &mut rng);
+        }
+    }
+    let queries: Vec<Vec<f32>> =
+        (0..40).map(|i| vec![(i % 9) as f32 * 0.5, (i * 7 % 17) as f32 * 0.5]).collect();
+    assert_eq!(hnsw_fingerprint(&h, &queries), 0x131b_4837_24a2_ff8a, "m 2 duplicate grid");
+
+    // m 4, dim 4, 3000 vectors; every fifth insert removes an earlier id.
+    let mut rng = StdRng::seed_from_u64(404);
+    let mut h = Hnsw::new(4, HnswConfig { m: 4, ef_construction: 40, ef_search: 32 });
+    for (i, v) in uniform_rows(&mut rng, 3000, 4).into_iter().enumerate() {
+        h.insert(&v, &mut rng);
+        if i % 5 == 4 {
+            h.remove(rng.gen_range(0..i));
+        }
+    }
+    let queries = uniform_rows(&mut rng, 40, 4);
+    assert_eq!(hnsw_fingerprint(&h, &queries), 0xa619_d503_1628_0a9d, "m 4 interleaved removes");
+}

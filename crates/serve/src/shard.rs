@@ -667,6 +667,43 @@ mod tests {
         assert_eq!(set.get_vec(3), None, "a deleted id has no vector");
     }
 
+    /// The `stream_append` write path's output bits: 600 ids over two
+    /// shards, then perturbed re-inserts of ids 0..400, which tombstone
+    /// past `compact_ratio` and rebuild each shard at least once. The
+    /// constant is a 64-bit FNV-1a over `query(q, 10)` for 100 probes (id
+    /// and distance bits), computed before the graph's internal layout was
+    /// rewritten.
+    #[test]
+    fn stream_path_query_bits_are_pinned() {
+        let dim = 8;
+        let set = ShardSet::new(dim, ShardSetConfig { shards: 2, ..Default::default() });
+        for id in 0..600 {
+            set.insert(id, &vec_for(id, dim)).unwrap();
+        }
+        for id in 0..400 {
+            let v: Vec<f32> = vec_for(id, dim)
+                .iter()
+                .zip(vec_for(id + 10_000, dim))
+                .map(|(&x, dx)| x + 0.05 * dx)
+                .collect();
+            set.insert(id, &v).unwrap();
+        }
+        // Without a rebuild every re-insert would still be a tombstone.
+        let status = set.status();
+        assert!(status.tombstones < 400, "no compaction ran: {status:?}");
+        assert_eq!(status.live, 600);
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for probe in 0..100 {
+            for (id, d) in set.query(&vec_for(20_000 + probe, dim), 10).unwrap() {
+                for byte in id.to_le_bytes().into_iter().chain(d.to_bits().to_le_bytes()) {
+                    hash ^= u64::from(byte);
+                    hash = hash.wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+        }
+        assert_eq!(hash, 0x99b3_85ac_9f50_d71b, "ShardSet query bits changed");
+    }
+
     #[test]
     fn epochs_advance_on_mutation_and_hold_during_reads() {
         let set = small_set(12, 2);
