@@ -4,9 +4,20 @@
 //! state-of-the-art vector indexes like HNSW apply immediately to nearest
 //! neighbour search over the embeddings. This is that index, built for the
 //! `d`-dimensional embeddings the models emit.
+//!
+//! Inside the graph, ids are `u32`. Layer 0, where every node lives, keeps
+//! its links in one flat `Vec<u32>`, `2m + 1` slots per node (a list is
+//! pushed to at most `2m + 1` and pruned back to `2m`), plus a `u32` length:
+//! 136 bytes a node at the default `m = 16`. The upper layers, which about
+//! one node in `m` reaches, are per-node `Vec<Vec<u32>>`. A prune scores
+//! each member of the over-full list once and stable-sorts the `(distance,
+//! id)` pairs, so equal distances keep list order. The search frontier pops
+//! packed `u64` keys, `dist.to_bits() << 32 | id`: a squared distance
+//! between finite vectors is `+0.0`, positive or `+inf`, whose bit order is
+//! the numeric order, so keys pop by distance and then by the smaller id.
 
 use rand::Rng;
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
 /// Build/search configuration.
@@ -26,34 +37,12 @@ impl Default for HnswConfig {
     }
 }
 
-/// Min-heap adapter over (distance, id).
-#[derive(PartialEq)]
-struct Candidate {
-    dist: f32,
-    id: usize,
-}
-
-impl Eq for Candidate {}
-
-impl Ord for Candidate {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse so BinaryHeap pops the smallest distance.
-        other.dist.partial_cmp(&self.dist).unwrap_or(Ordering::Equal).then(other.id.cmp(&self.id))
-    }
-}
-
-impl PartialOrd for Candidate {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-struct HnswNode {
-    /// Neighbour lists, one per layer this node exists on (`0..=level`).
-    neighbours: Vec<Vec<usize>>,
-}
-
 /// An HNSW index over vectors of a fixed dimension.
+///
+/// Vectors and queries must be finite: the search orders distances by
+/// their bits (see the module docs). Debug builds assert it, and
+/// `tmn-serve`'s `ShardSet` refuses non-finite input before it reaches a
+/// graph.
 ///
 /// Supports incremental deletion via tombstones: a removed node stays in the
 /// graph as a navigable waypoint (its edges keep the small world connected)
@@ -64,10 +53,16 @@ struct HnswNode {
 pub struct Hnsw {
     config: HnswConfig,
     dim: usize,
-    /// Row-major vectors, `dim` f32s per node, indexed like `nodes`.
+    /// Row-major vectors, `dim` f32s per node, indexed by id.
     vectors: Vec<f32>,
-    nodes: Vec<HnswNode>,
-    /// Tombstone flags, indexed like `nodes`.
+    /// Layer-0 links: node `i`'s list is the first `links0_len[i]` of its
+    /// `2m + 1` slots starting at `i * (2m + 1)`.
+    links0: Vec<u32>,
+    links0_len: Vec<u32>,
+    /// Links on layers `1..=level`: `upper[i][l - 1]` is node `i`'s list on
+    /// layer `l`, so `upper[i].len()` is the node's level.
+    upper: Vec<Vec<Vec<u32>>>,
+    /// Tombstone flags, indexed by id.
     deleted: Vec<bool>,
     /// Count of non-tombstoned nodes.
     live: usize,
@@ -80,6 +75,13 @@ fn dist_sq(a: &[f32], b: &[f32]) -> f32 {
     a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
 }
 
+/// Min-heap key of a frontier entry: the distance's bits above the id, so
+/// keys order as `(dist, id)` for the non-negative, non-NaN distances
+/// `dist_sq` returns on finite input.
+fn frontier_key(dist: f32, id: u32) -> Reverse<u64> {
+    Reverse(u64::from(dist.to_bits()) << 32 | u64::from(id))
+}
+
 impl Hnsw {
     pub fn new(dim: usize, config: HnswConfig) -> Hnsw {
         assert!(dim > 0, "Hnsw: dimension must be positive");
@@ -88,7 +90,9 @@ impl Hnsw {
             config,
             dim,
             vectors: Vec::new(),
-            nodes: Vec::new(),
+            links0: Vec::new(),
+            links0_len: Vec::new(),
+            upper: Vec::new(),
             deleted: Vec::new(),
             live: 0,
             entry: None,
@@ -97,22 +101,25 @@ impl Hnsw {
         }
     }
 
-    /// Pre-size the node, tombstone and vector buffers for `additional`
-    /// more inserts. Bulk loaders (warm start from an on-disk store) call
-    /// this once so a known-size load doesn't pay O(log n) regrowths.
+    /// Pre-size the vector, link and tombstone buffers for `additional`
+    /// more inserts. Bulk loaders (warm start from an on-disk store, shard
+    /// compaction) call this once so a known-size load doesn't pay
+    /// O(log n) regrowths.
     pub fn reserve(&mut self, additional: usize) {
-        self.nodes.reserve(additional);
-        self.deleted.reserve(additional);
         self.vectors.reserve(additional * self.dim);
+        self.links0.reserve(additional * self.stride0());
+        self.links0_len.reserve(additional);
+        self.upper.reserve(additional);
+        self.deleted.reserve(additional);
     }
 
     /// Total node count, tombstones included (ids are `0..len()`).
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.deleted.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.deleted.is_empty()
     }
 
     /// Nodes that are still searchable (not tombstoned).
@@ -122,7 +129,7 @@ impl Hnsw {
 
     /// Tombstoned node count; rebuild when this dominates [`len`](Hnsw::len).
     pub fn tombstones(&self) -> usize {
-        self.nodes.len() - self.live
+        self.len() - self.live
     }
 
     /// Whether `id` has been removed (out-of-range ids read as deleted).
@@ -134,7 +141,7 @@ impl Hnsw {
     /// stays in the graph as a navigation waypoint. Returns `false` if the
     /// id is unknown or already deleted. O(1).
     pub fn remove(&mut self, id: usize) -> bool {
-        if id >= self.nodes.len() || self.deleted[id] {
+        if id >= self.len() || self.deleted[id] {
             return false;
         }
         self.deleted[id] = true;
@@ -156,13 +163,76 @@ impl Hnsw {
         dist_sq(query, self.vector(id))
     }
 
-    /// Insert a vector; returns its id (= insertion order).
+    /// Slots per node on layer 0: room for `2m` links plus the one pushed
+    /// before a prune.
+    fn stride0(&self) -> usize {
+        2 * self.config.m + 1
+    }
+
+    /// Node `id`'s links on `layer`.
+    fn links(&self, id: usize, layer: usize) -> &[u32] {
+        if layer == 0 {
+            let start = id * self.stride0();
+            &self.links0[start..start + self.links0_len[id] as usize]
+        } else {
+            &self.upper[id][layer - 1]
+        }
+    }
+
+    fn push_link(&mut self, id: usize, layer: usize, target: u32) {
+        if layer == 0 {
+            let stride = self.stride0();
+            let len = self.links0_len[id] as usize;
+            // Indexing the node's own slots panics on an over-full list
+            // instead of writing into the next node's.
+            self.links0[id * stride..(id + 1) * stride][len] = target;
+            self.links0_len[id] += 1;
+        } else {
+            self.upper[id][layer - 1].push(target);
+        }
+    }
+
+    /// Cut node `id`'s list on `layer` back to its `m_max` nearest members.
+    /// Each member is scored once (into the reused `scored`), and the
+    /// stable sort keeps equal distances in list order.
+    fn prune(&mut self, id: usize, layer: usize, m_max: usize, scored: &mut Vec<(f32, u32)>) {
+        let base = self.vector(id);
+        scored.clear();
+        let links = self.links(id, layer);
+        scored.extend(links.iter().map(|&nb| (self.dist_to(base, nb as usize), nb)));
+        scored.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(Ordering::Equal));
+        let kept = scored[..m_max].iter().map(|&(_, nb)| nb);
+        if layer == 0 {
+            let start = id * self.stride0();
+            for (slot, nb) in self.links0[start..start + m_max].iter_mut().zip(kept) {
+                *slot = nb;
+            }
+            self.links0_len[id] = m_max as u32;
+        } else {
+            let list = &mut self.upper[id][layer - 1];
+            list.clear();
+            list.extend(kept);
+        }
+    }
+
+    /// The level a new node is drawn at: the one draw an insert takes from
+    /// its `rng`.
+    fn draw_level(&self, rng: &mut impl Rng) -> usize {
+        (-rng.gen_range(f64::MIN_POSITIVE..1.0).ln() * self.level_mult) as usize
+    }
+
+    /// Insert a vector; returns its id (= insertion order). The vector must
+    /// be finite (see [`Hnsw`]).
     pub fn insert(&mut self, v: &[f32], rng: &mut impl Rng) -> usize {
         assert_eq!(v.len(), self.dim, "Hnsw: vector dimension mismatch");
-        let id = self.nodes.len();
+        assert!(self.len() < u32::MAX as usize, "Hnsw: node ids must fit in u32");
+        debug_assert!(v.iter().all(|x| x.is_finite()), "Hnsw: non-finite vector");
+        let id = self.len();
         self.vectors.extend_from_slice(v);
-        let level = (-rng.gen_range(f64::MIN_POSITIVE..1.0).ln() * self.level_mult) as usize;
-        self.nodes.push(HnswNode { neighbours: vec![Vec::new(); level + 1] });
+        let level = self.draw_level(rng);
+        self.links0.resize(self.links0.len() + self.stride0(), 0);
+        self.links0_len.push(0);
+        self.upper.push(vec![Vec::new(); level]);
         self.deleted.push(false);
         self.live += 1;
 
@@ -177,15 +247,16 @@ impl Hnsw {
             cur = self.greedy_closest(v, cur, l);
         }
         // Insert with beam search on each layer from min(level, max_level) down.
+        let mut scored = Vec::new();
         for l in (0..=level.min(self.max_level)).rev() {
             let candidates = self.search_layer(v, cur, l, self.config.ef_construction, true);
             let m_max = if l == 0 { self.config.m * 2 } else { self.config.m };
             // Prefer live neighbours so new edges don't waste slots on
             // tombstones; fall back to tombstoned waypoints only when the
             // layer has too few live candidates to stay connected.
-            let mut selected: Vec<usize> = candidates
+            let mut selected: Vec<u32> = candidates
                 .iter()
-                .filter(|&&(_, i)| !self.deleted[i])
+                .filter(|&&(_, i)| !self.deleted[i as usize])
                 .take(self.config.m)
                 .map(|&(_, i)| i)
                 .collect();
@@ -193,23 +264,15 @@ impl Hnsw {
                 selected.extend(candidates.iter().take(self.config.m).map(|&(_, i)| i));
             }
             for &nb in &selected {
-                self.nodes[id].neighbours[l].push(nb);
-                self.nodes[nb].neighbours[l].push(id);
-                // Prune over-full neighbour lists, keeping the closest.
-                if self.nodes[nb].neighbours[l].len() > m_max {
-                    let mut list = std::mem::take(&mut self.nodes[nb].neighbours[l]);
-                    let base = self.vector(nb);
-                    list.sort_by(|&a, &b| {
-                        self.dist_to(base, a)
-                            .partial_cmp(&self.dist_to(base, b))
-                            .unwrap_or(Ordering::Equal)
-                    });
-                    list.truncate(m_max);
-                    self.nodes[nb].neighbours[l] = list;
+                self.push_link(id, l, nb);
+                let nb = nb as usize;
+                self.push_link(nb, l, id as u32);
+                if self.links(nb, l).len() > m_max {
+                    self.prune(nb, l, m_max, &mut scored);
                 }
             }
             if let Some(&(_, best)) = candidates.first() {
-                cur = best;
+                cur = best as usize;
             }
         }
         if level > self.max_level {
@@ -224,10 +287,10 @@ impl Hnsw {
         let mut cur_d = self.dist_to(query, cur);
         loop {
             let mut improved = false;
-            for &nb in &self.nodes[cur].neighbours[layer] {
-                let d = self.dist_to(query, nb);
+            for &nb in self.links(cur, layer) {
+                let d = self.dist_to(query, nb as usize);
                 if d < cur_d {
-                    cur = nb;
+                    cur = nb as usize;
                     cur_d = d;
                     improved = true;
                 }
@@ -249,18 +312,19 @@ impl Hnsw {
         layer: usize,
         ef: usize,
         include_deleted: bool,
-    ) -> Vec<(f32, usize)> {
-        let mut visited = vec![false; self.nodes.len()];
+    ) -> Vec<(f32, u32)> {
+        let mut visited = vec![false; self.len()];
         visited[entry] = true;
         let d0 = self.dist_to(query, entry);
-        let mut frontier = BinaryHeap::new(); // pops nearest first
-        frontier.push(Candidate { dist: d0, id: entry });
-        let mut results: Vec<(f32, usize)> = if include_deleted || !self.deleted[entry] {
-            vec![(d0, entry)]
+        let mut frontier = BinaryHeap::new(); // pops the smallest key first
+        frontier.push(frontier_key(d0, entry as u32));
+        let mut results: Vec<(f32, u32)> = if include_deleted || !self.deleted[entry] {
+            vec![(d0, entry as u32)]
         } else {
             Vec::new()
         };
-        while let Some(Candidate { dist, id }) = frontier.pop() {
+        while let Some(Reverse(key)) = frontier.pop() {
+            let (dist, id) = (f32::from_bits((key >> 32) as u32), key as u32 as usize);
             let worst = if results.len() >= ef {
                 results.last().map(|r| r.0).unwrap_or(f32::INFINITY)
             } else {
@@ -269,20 +333,20 @@ impl Hnsw {
             if dist > worst {
                 break;
             }
-            for &nb in &self.nodes[id].neighbours[layer] {
-                if visited[nb] {
+            for &nb in self.links(id, layer) {
+                if visited[nb as usize] {
                     continue;
                 }
-                visited[nb] = true;
-                let d = self.dist_to(query, nb);
+                visited[nb as usize] = true;
+                let d = self.dist_to(query, nb as usize);
                 let worst = if results.len() >= ef {
                     results.last().map(|r| r.0).unwrap_or(f32::INFINITY)
                 } else {
                     f32::INFINITY
                 };
                 if d < worst {
-                    frontier.push(Candidate { dist: d, id: nb });
-                    if include_deleted || !self.deleted[nb] {
+                    frontier.push(frontier_key(d, nb));
+                    if include_deleted || !self.deleted[nb as usize] {
                         let pos = results.partition_point(|r| r.0 < d);
                         results.insert(pos, (d, nb));
                         if results.len() > ef {
@@ -304,31 +368,37 @@ impl Hnsw {
     /// `knn` with an explicit beam width `ef >= k`. Tombstoned vectors never
     /// appear in the result; the beam is widened by the tombstone ratio
     /// (shortlist compensation) so the *live* candidate pool stays as large
-    /// as the caller requested and recall holds under churn.
+    /// as the caller requested and recall holds under churn. The query must
+    /// be finite (see [`Hnsw`]).
     pub fn knn_ef(&self, query: &[f32], k: usize, ef: usize) -> Vec<(usize, f32)> {
         assert_eq!(query.len(), self.dim, "Hnsw: query dimension mismatch");
+        debug_assert!(query.iter().all(|x| x.is_finite()), "Hnsw: non-finite query");
         let Some(mut cur) = self.entry else {
             return Vec::new();
         };
         if k == 0 || self.live == 0 {
             return Vec::new();
         }
-        let mut ef = ef.max(k);
-        if self.live < self.nodes.len() {
-            ef = (ef * self.nodes.len()).div_ceil(self.live).min(self.nodes.len());
+        // A beam wider than the graph finds nothing more, and clamping first
+        // keeps `ef * len` below `u32::MAX²`.
+        let len = self.len();
+        let mut ef = ef.max(k).min(len);
+        if self.live < len {
+            ef = (ef * len).div_ceil(self.live).min(len);
         }
         for l in (1..=self.max_level).rev() {
             cur = self.greedy_closest(query, cur, l);
         }
         let mut res = self.search_layer(query, cur, 0, ef, false);
         res.truncate(k);
-        res.into_iter().map(|(d, i)| (i, d.sqrt())).collect()
+        res.into_iter().map(|(d, i)| (i as usize, d.sqrt())).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -399,6 +469,68 @@ mod tests {
         }
         // The query point itself is its own nearest neighbour.
         assert_eq!(nn[0].0, 0);
+    }
+
+    /// Checks every list of the graph against the layout's invariants:
+    /// each fits its layer's bound (an over-full layer-0 list would spill
+    /// into the next node's slots), links neither its own node nor any id
+    /// twice, and points at a node that exists on that layer. Each node has
+    /// one upper list per level it was drawn at, the entry point tops the
+    /// hierarchy, and every row reads back as inserted.
+    fn check_layout(h: &Hnsw, rows: &[Vec<f32>], levels: &[usize]) -> Result<(), String> {
+        let m = h.config.m;
+        prop_assert_eq!(h.len(), rows.len());
+        prop_assert_eq!(Some(h.max_level), levels.iter().copied().max());
+        prop_assert_eq!(h.entry.map(|e| levels[e]), Some(h.max_level), "entry below the top");
+        for (i, row) in rows.iter().enumerate() {
+            prop_assert_eq!(h.vector(i), &row[..], "row {i} reads back changed");
+            prop_assert_eq!(h.upper[i].len(), levels[i], "node {i}: upper lists vs level");
+            for l in 0..=levels[i] {
+                let list = h.links(i, l);
+                let cap = if l == 0 { 2 * m } else { m };
+                prop_assert!(list.len() <= cap, "node {i} layer {l}: {} links", list.len());
+                let mut distinct = list.to_vec();
+                distinct.sort_unstable();
+                distinct.dedup();
+                prop_assert_eq!(distinct.len(), list.len(), "node {i} layer {l}: repeated id");
+                for &nb in list {
+                    let nb = nb as usize;
+                    prop_assert!(nb < h.len(), "node {i} layer {l}: target {nb} out of range");
+                    prop_assert!(nb != i, "node {i} links itself on layer {l}");
+                    prop_assert!(levels[nb] >= l, "node {i} layer {l}: {nb} is not on it");
+                }
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn layout_invariants_hold_after_every_insert(
+            m in 2usize..=12,
+            dim in 1usize..=8,
+            n in 1usize..=300,
+            seed in 0u64..1 << 32,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let config = HnswConfig { m, ef_construction: 4 * m, ef_search: 2 * m };
+            let mut h = Hnsw::new(dim, config);
+            let (mut rows, mut levels) = (Vec::new(), Vec::new());
+            for i in 0..n {
+                // Coordinates from {0, 1, 2}: in low dimensions most rows
+                // repeat, so distance ties are common.
+                let row: Vec<f32> = (0..dim).map(|_| rng.gen_range(0..3) as f32).collect();
+                levels.push(h.draw_level(&mut rng.clone()));
+                h.insert(&row, &mut rng);
+                rows.push(row);
+                if i % 4 == 3 {
+                    h.remove(rng.gen_range(0..=i));
+                }
+                check_layout(&h, &rows, &levels)?;
+            }
+        }
     }
 
     #[test]

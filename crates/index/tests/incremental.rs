@@ -125,3 +125,21 @@ fn out_of_range_remove_is_rejected() {
     assert!(h.is_deleted(17), "out-of-range ids read as deleted");
     assert!(!h.remove(17));
 }
+
+#[test]
+fn huge_k_with_tombstones_returns_every_live_id() {
+    // Shortlist compensation multiplies the beam by `len / live`; the beam
+    // is clamped to `len` first, so a `k` near `usize::MAX` neither
+    // overflows (a debug panic) nor wraps to a tiny beam (release).
+    let mut rng = StdRng::seed_from_u64(5);
+    let mut h = Hnsw::new(2, HnswConfig::default());
+    for i in 0..10 {
+        h.insert(&[i as f32, 0.0], &mut rng);
+    }
+    h.remove(3);
+    let want: Vec<usize> = (0..10).filter(|&i| i != 3).collect();
+    for k in [usize::MAX, 1 << 63] {
+        let got: Vec<usize> = h.knn_ef(&[-1.0, 0.0], k, 64).into_iter().map(|(i, _)| i).collect();
+        assert_eq!(got, want, "k = {k}");
+    }
+}

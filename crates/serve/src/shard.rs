@@ -110,11 +110,18 @@ impl ShardInner {
     }
 
     /// Rebuild the HNSW from the live vectors (drops every tombstone).
-    /// Deterministic: ids are re-inserted in ascending external order.
+    /// Deterministic: ids are re-inserted in ascending external order. The
+    /// `shard.compact` span puts the rebuild under the request that
+    /// triggered it (a `stream.reindex`, say), so the flight recorder
+    /// names the tail it causes.
     fn compact(&mut self, dim: usize, cfg: &ShardSetConfig) {
+        let _span = trace::span("shard.compact")
+            .attr("live", self.hnsw.live_len() as u64)
+            .attr("tombstones", self.hnsw.tombstones() as u64);
         let mut live: Vec<(u64, usize)> = self.int_of_ext.iter().map(|(&e, &i)| (e, i)).collect();
         live.sort_unstable();
         let mut hnsw = Hnsw::new(dim, cfg.hnsw);
+        hnsw.reserve(live.len());
         let mut ext_of_int = Vec::with_capacity(live.len());
         let mut int_of_ext = HashMap::with_capacity(live.len());
         for &(id, old) in &live {
@@ -690,7 +697,10 @@ mod tests {
         }
         // Without a rebuild every re-insert would still be a tombstone.
         let status = set.status();
-        assert!(status.tombstones < 400, "no compaction ran: {status:?}");
+        for shard in &status.shards {
+            let reinserted = (0..400).filter(|&id| set.shard_of(id) == shard.shard).count();
+            assert!(shard.tombstones < reinserted, "shard {} never compacted", shard.shard);
+        }
         assert_eq!(status.live, 600);
         let mut hash = 0xcbf2_9ce4_8422_2325u64;
         for probe in 0..100 {
@@ -702,6 +712,20 @@ mod tests {
             }
         }
         assert_eq!(hash, 0x99b3_85ac_9f50_d71b, "ShardSet query bits changed");
+    }
+
+    #[test]
+    fn huge_k_with_tombstones_returns_every_live_id() {
+        // The shard's shortlist becomes `k`; its graph must clamp the
+        // tombstone-widened beam instead of overflowing `ef * len`.
+        let set = small_set(10, 2);
+        set.delete(3).unwrap();
+        let q = vec_for(99, 4);
+        let want = set.query_exact(&q, 10).unwrap();
+        assert_eq!(want.len(), 9);
+        for k in [usize::MAX, 1 << 63] {
+            assert_eq!(set.query(&q, k).unwrap(), want, "k = {k}");
+        }
     }
 
     #[test]

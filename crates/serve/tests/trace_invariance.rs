@@ -33,7 +33,9 @@ const MCFG: ModelConfig = ModelConfig { dim: 16, seed: 7 };
 
 fn cfg() -> ServeConfig {
     ServeConfig {
-        shard: ShardSetConfig { shards: 2, shortlist: 32, ..Default::default() },
+        // `compact_min` low enough that the workload's appends to one id
+        // tombstone its shard past `compact_ratio` and rebuild it.
+        shard: ShardSetConfig { shards: 2, shortlist: 32, compact_min: 16, ..Default::default() },
         max_batch: 8,
         ..Default::default()
     }
@@ -63,7 +65,7 @@ fn run_workload() -> (RankedBits, Vec<String>, (usize, usize, usize)) {
         let ranked = h.query_id(id, 5).unwrap();
         results.push(ranked.into_iter().map(|(id, d)| (id, d.to_bits())).collect());
     }
-    for step in 0..6u64 {
+    for step in 0..12u64 {
         let out = h.append_point(4, Point { lon: 0.1 + 0.07 * step as f64, lat: 0.3 }).unwrap();
         outcomes.push(format!("{out:?}"));
     }
@@ -152,6 +154,19 @@ fn tracing_on_and_off_serve_identically() {
             assert!(a.span_named("stream.delta").is_some(), "append {i} lacks stream.delta");
         }
         assert!(a.span_named("stream.reindex").is_some(), "append {i} lacks stream.reindex");
+    }
+
+    // The re-insert that tips a shard past its tombstone ratio rebuilds it
+    // inside the append, and the rebuild's span names that tail.
+    let compactions: Vec<_> =
+        appends.iter().filter_map(|a| Some((a, a.span_named("shard.compact")?))).collect();
+    assert!(!compactions.is_empty(), "no append compacted its shard");
+    for (a, compact) in compactions {
+        let reindex = a.span_named("stream.reindex").expect("checked above");
+        assert_eq!(compact.parent, reindex.span, "the rebuild nests under the re-index");
+        for key in ["live", "tombstones"] {
+            assert!(compact.attrs.iter().any(|a| a.key == key), "shard.compact lacks {key}");
+        }
     }
 
     // Only re-indexed appends count as re-indexes: under an unreachable

@@ -29,10 +29,12 @@ cargo build --release --offline --locked --manifest-path tmnbench/Cargo.toml
 echo "== test =="
 cargo test -q --workspace
 
-echo "== test the distance kernels and the store in release =="
+echo "== test the distance kernels, the store, the index and the engine in release =="
 # Debug builds do not vectorize the DTW lanes; the ground-truth builders run
 # the release code, so its bits are checked against the oracles here too.
-cargo test --release -q -p tmn-traj -p tmn-store
+# The serving engine runs the release graph, so the HNSW and ShardSet bit
+# pins must hold under the optimizer as well.
+cargo test --release -q -p tmn-traj -p tmn-store -p tmn-index -p tmn-serve
 
 echo "== clippy (-D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
