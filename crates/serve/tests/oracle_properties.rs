@@ -12,7 +12,9 @@
 //!   aggregated across the case's queries.
 //!
 //! Flush (= forced shard compaction) is part of the op alphabet, so the
-//! graph is exercised immediately after tombstones are dropped, too.
+//! graph is exercised immediately after tombstones are dropped, too. A
+//! long-churn case holds the same two checks after thousands of drifting
+//! re-inserts of the same ids.
 
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -117,6 +119,57 @@ fn run_case(shards: usize, ops: &[(u8, u64)]) -> Result<(), String> {
         prop_assert!(hr >= 0.995, "HR@10 {hr:.4} breaches the 0.5% gate");
     }
     Ok(())
+}
+
+/// Long churn: 600 ids over two shards, then twelve rounds in which every
+/// id is re-inserted with its vector drifted by at most ±0.025 a
+/// coordinate (clamped to [0, 1]), 7,200 re-inserts in all — a stream's
+/// write pattern, where graph quality could decay under repeated
+/// re-inserts of the same ids.
+#[test]
+fn long_churn_of_drifting_reinserts_tracks_the_oracle() {
+    const CHURN_DIM: usize = 8;
+    const IDS: u64 = 600;
+    const ROUNDS: u64 = 12;
+    let unit = |h: u64| (h % 1001) as f32 / 1000.0;
+    let cfg = ShardSetConfig { shards: 2, shortlist: 32, ..Default::default() };
+    let set = ShardSet::new(CHURN_DIM, cfg);
+    let mut reference: HashMap<u64, Vec<f32>> = HashMap::new();
+    for id in 0..IDS {
+        let v: Vec<f32> =
+            (0..CHURN_DIM).map(|d| unit(splitmix64(id * 7919 + d as u64))).collect();
+        set.insert(id, &v).unwrap();
+        reference.insert(id, v);
+    }
+    for round in 1..=ROUNDS {
+        for id in 0..IDS {
+            let v = reference.get_mut(&id).unwrap();
+            for (d, x) in v.iter_mut().enumerate() {
+                let step = (unit(splitmix64((round * IDS + id) * 31 + d as u64)) - 0.5) * 0.05;
+                *x = (*x + step).clamp(0.0, 1.0);
+            }
+            set.insert(id, v).unwrap();
+        }
+    }
+
+    assert_eq!(set.live(), IDS as usize);
+    let bits = |v: &[f32]| -> Vec<u32> { v.iter().map(|x| x.to_bits()).collect() };
+    for (&id, v) in &reference {
+        let got = set.get_vec(id).unwrap_or_else(|| panic!("id {id} lost"));
+        assert_eq!(bits(&got), bits(v), "id {id} reads back another vector");
+    }
+    let (mut hits, mut total) = (0usize, 0usize);
+    for qi in 0..200u64 {
+        let q: Vec<f32> =
+            (0..CHURN_DIM).map(|d| unit(splitmix64(qi * 104_729 + d as u64 + 1))).collect();
+        let oracle = oracle_topk(&reference, &q, 10);
+        assert_eq!(set.query_exact(&q, 10).unwrap(), oracle, "query_exact diverged on query {qi}");
+        let approx: Vec<u64> = set.query(&q, 10).unwrap().into_iter().map(|(id, _)| id).collect();
+        hits += oracle.iter().filter(|&&(id, _)| approx.contains(&id)).count();
+        total += oracle.len();
+    }
+    let hr = hits as f64 / total as f64;
+    assert!(hr >= 0.995, "HR@10 {hr:.4} after {} re-inserts", ROUNDS * IDS);
 }
 
 proptest! {
