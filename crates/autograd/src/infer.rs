@@ -228,9 +228,10 @@ pub fn gru_seq(xs: &[f32], bs: usize, m: usize, d_in: usize, h: usize, w: &GruWe
 /// appends is **bitwise equal** to running [`lstm_seq`] / [`gru_seq`] over
 /// the full `N`-point sequence.
 ///
-/// The state owns its stash buffer (it outlives any single call and
-/// travels across threads); per-step scratch still comes from the pool, so
-/// a warm step allocates nothing.
+/// The state owns only what the next step reads (it outlives any single
+/// call and travels across threads); each step rents the full fused-cell
+/// stash and its other scratch from the pool, so a warm step allocates
+/// nothing.
 pub enum RnnStream {
     Lstm(LstmStream),
     Gru(GruStream),
@@ -250,41 +251,40 @@ impl RnnStream {
     }
 }
 
-/// Streaming LSTM state: the `[7h]` fused-cell stash
-/// (`[h | c | i | f | g | o | tanh(c)]`), zero-initialized like
-/// [`lstm_seq`]'s `t = 0` state.
+/// Streaming LSTM state: the carried `[h | c]` (`2h` floats), the first
+/// two columns of the `[7h]` fused-cell stash a step writes, zero-initialized
+/// like [`lstm_seq`]'s `t = 0` state.
 pub struct LstmStream {
-    stash: Vec<f32>,
+    state: Vec<f32>,
     h: usize,
     steps: usize,
 }
 
 impl LstmStream {
     pub fn new(h: usize) -> LstmStream {
-        LstmStream { stash: vec![0.0; 7 * h], h, steps: 0 }
+        LstmStream { state: vec![0.0; 2 * h], h, steps: 0 }
     }
 
     /// The current hidden state `[h]` (all zeros before the first step).
     pub fn hidden(&self) -> &[f32] {
-        &self.stash[..self.h]
+        &self.state[..self.h]
     }
 }
 
-/// Streaming GRU state: the `[5h]` fused-cell stash
-/// (`[h | r | z | n | q]`).
+/// Streaming GRU state: the carried `[h]`, the first column of the `[5h]`
+/// fused-cell stash a step writes.
 pub struct GruStream {
-    stash: Vec<f32>,
-    h: usize,
+    state: Vec<f32>,
     steps: usize,
 }
 
 impl GruStream {
     pub fn new(h: usize) -> GruStream {
-        GruStream { stash: vec![0.0; 5 * h], h, steps: 0 }
+        GruStream { state: vec![0.0; h], steps: 0 }
     }
 
     pub fn hidden(&self) -> &[f32] {
-        &self.stash[..self.h]
+        &self.state
     }
 }
 
@@ -295,46 +295,45 @@ impl GruStream {
 pub fn lstm_stream_step(s: &mut LstmStream, x: &[f32], d_in: usize, w: &LstmWeights<'_>, out: &mut [f32]) {
     let h = s.h;
     debug_assert!(x.len() == d_in && out.len() == h);
-    let mut hp = take(h);
-    let mut cp = take(h);
+    let (hp, cp) = s.state.split_at(h);
     let mut z = take(4 * h);
-    hp.copy_from_slice(&s.stash[..h]);
-    cp.copy_from_slice(&s.stash[h..2 * h]);
     // z = bias + x·w_ih: the streaming slice of `preproject` (row-stable
     // GEMM ⇒ bitwise equal to row t of the full [T·B, 4h] pre-projection).
     z.copy_from_slice(w.bias);
     mm_nn(x, w.w_ih, 1, d_in, 4 * h, &mut z);
-    mm_nn(&hp, w.w_hh, 1, h, 4 * h, &mut z);
-    lstm_step_elementwise(&z, &cp, 1, h, &mut s.stash);
-    out.copy_from_slice(&s.stash[..h]);
-    recycle(hp);
-    recycle(cp);
+    mm_nn(hp, w.w_hh, 1, h, 4 * h, &mut z);
+    let mut stash = take(7 * h);
+    lstm_step_elementwise(&z, cp, 1, h, &mut stash);
+    s.state.copy_from_slice(&stash[..2 * h]);
+    out.copy_from_slice(&stash[..h]);
     recycle(z);
+    recycle(stash);
     s.steps += 1;
 }
 
 /// Advance a streaming GRU by one input row; bitwise contract as
 /// [`lstm_stream_step`], mirroring [`gru_seq`]'s loop at `bs = 1`.
 pub fn gru_stream_step(s: &mut GruStream, x: &[f32], d_in: usize, w: &GruWeights<'_>, out: &mut [f32]) {
-    let h = s.h;
+    let h = s.state.len();
     debug_assert!(x.len() == d_in && out.len() == h);
-    let mut hp = take(h);
-    hp.copy_from_slice(&s.stash[..h]);
+    let hp = &s.state;
     let mut zr = take(2 * h);
     zr.copy_from_slice(w.bias);
     mm_nn(x, w.w_ih, 1, d_in, 2 * h, &mut zr);
-    mm_nn(&hp, w.w_hh, 1, h, 2 * h, &mut zr);
+    mm_nn(hp, w.w_hh, 1, h, 2 * h, &mut zr);
     let mut q = take(h); // zero-filled rental = gru_seq's q.fill(0.0)
-    mm_nn(&hp, w.w_hn, 1, h, h, &mut q);
+    mm_nn(hp, w.w_hn, 1, h, h, &mut q);
     let mut pn = take(h);
     pn.copy_from_slice(w.bias_n);
     mm_nn(x, w.w_in, 1, d_in, h, &mut pn);
-    gru_step_elementwise(&zr, &q, &pn, &hp, 1, h, &mut s.stash);
-    out.copy_from_slice(&s.stash[..h]);
-    recycle(hp);
+    let mut stash = take(5 * h);
+    gru_step_elementwise(&zr, &q, &pn, hp, 1, h, &mut stash);
+    s.state.copy_from_slice(&stash[..h]);
+    out.copy_from_slice(&stash[..h]);
     recycle(zr);
     recycle(q);
     recycle(pn);
+    recycle(stash);
     s.steps += 1;
 }
 

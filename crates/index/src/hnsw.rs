@@ -48,8 +48,12 @@ impl Default for HnswConfig {
 /// graph as a navigable waypoint (its edges keep the small world connected)
 /// but never appears in search results, and [`knn_ef`](Hnsw::knn_ef) widens
 /// its beam by the tombstone ratio so the *live* shortlist stays as large as
-/// the caller asked for. Callers that churn heavily should rebuild once
-/// tombstones dominate (see `tmn-serve`'s per-shard compaction).
+/// the caller asked for. Callers that delete heavily should rebuild once
+/// tombstones dominate (see `tmn-serve`'s per-shard compaction). A vector
+/// that changes is not removed and re-inserted: [`update`](Hnsw::update)
+/// overwrites its row in place and re-selects its links, so replacing
+/// vectors leaves no tombstones (hnswlib's `updatePoint`, without its
+/// re-selection of the neighbours' own links).
 pub struct Hnsw {
     config: HnswConfig,
     dim: usize,
@@ -192,6 +196,14 @@ impl Hnsw {
         }
     }
 
+    fn clear_links(&mut self, id: usize, layer: usize) {
+        if layer == 0 {
+            self.links0_len[id] = 0;
+        } else {
+            self.upper[id][layer - 1].clear();
+        }
+    }
+
     /// Cut node `id`'s list on `layer` back to its `m_max` nearest members.
     /// Each member is scored once (into the reused `scored`), and the
     /// stable sort keeps equal distances in list order.
@@ -236,36 +248,76 @@ impl Hnsw {
         self.deleted.push(false);
         self.live += 1;
 
-        let Some(mut cur) = self.entry else {
+        let Some(entry) = self.entry else {
             self.entry = Some(id);
             self.max_level = level;
             return id;
         };
+        self.link(id, v, level, entry, false);
+        if level > self.max_level {
+            self.max_level = level;
+            self.entry = Some(id);
+        }
+        id
+    }
 
+    /// Replace the vector of live node `id` with `v` and re-select its
+    /// links: the node keeps its id, its level and the links other nodes
+    /// hold to it, and nothing is tombstoned. Each of its layers runs an
+    /// insert's search from the entry point (which finds the node itself at
+    /// distance 0, skipped) and its list becomes the new selection; each
+    /// selected neighbour that does not link back yet gets a reverse link,
+    /// pruned as an insert prunes. Draws nothing from an RNG. Panics when
+    /// `id` is removed or unknown, or `v` is not finite (see [`Hnsw`]).
+    pub fn update(&mut self, id: usize, v: &[f32]) {
+        assert_eq!(v.len(), self.dim, "Hnsw: vector dimension mismatch");
+        assert!(!self.is_deleted(id), "Hnsw: update of removed or unknown id {id}");
+        debug_assert!(v.iter().all(|x| x.is_finite()), "Hnsw: non-finite vector");
+        self.vectors[id * self.dim..(id + 1) * self.dim].copy_from_slice(v);
+        let entry = self.entry.expect("a live node implies an entry point");
+        self.link(id, v, self.upper[id].len(), entry, true);
+    }
+
+    /// Link node `id` (vector `v`, drawn at `level`) into the graph, walking
+    /// down from `cur`: a greedy descent through the layers above `level`,
+    /// then on each layer from `min(level, max_level)` down a beam search
+    /// with `ef_construction` and up to `m` neighbours, with reverse links
+    /// and prunes. An update replaces the node's own lists and skips a
+    /// reverse link the neighbour already holds; a new node has empty lists
+    /// and no node links to it yet, so neither step applies to an insert.
+    fn link(&mut self, id: usize, v: &[f32], level: usize, mut cur: usize, update: bool) {
         // Greedy descent through layers above `level`.
         for l in (level + 1..=self.max_level).rev() {
             cur = self.greedy_closest(v, cur, l);
         }
-        // Insert with beam search on each layer from min(level, max_level) down.
+        // Beam search on each layer from min(level, max_level) down.
         let mut scored = Vec::new();
         for l in (0..=level.min(self.max_level)).rev() {
             let candidates = self.search_layer(v, cur, l, self.config.ef_construction, true);
             let m_max = if l == 0 { self.config.m * 2 } else { self.config.m };
             // Prefer live neighbours so new edges don't waste slots on
             // tombstones; fall back to tombstoned waypoints only when the
-            // layer has too few live candidates to stay connected.
-            let mut selected: Vec<u32> = candidates
-                .iter()
+            // layer has too few live candidates to stay connected. An
+            // update's search finds the node itself, never a neighbour.
+            let others = candidates.iter().filter(|&&(_, i)| i as usize != id);
+            let mut selected: Vec<u32> = others
+                .clone()
                 .filter(|&&(_, i)| !self.deleted[i as usize])
                 .take(self.config.m)
                 .map(|&(_, i)| i)
                 .collect();
             if selected.is_empty() {
-                selected.extend(candidates.iter().take(self.config.m).map(|&(_, i)| i));
+                selected.extend(others.take(self.config.m).map(|&(_, i)| i));
+            }
+            if update {
+                self.clear_links(id, l);
             }
             for &nb in &selected {
                 self.push_link(id, l, nb);
                 let nb = nb as usize;
+                if update && self.links(nb, l).contains(&(id as u32)) {
+                    continue;
+                }
                 self.push_link(nb, l, id as u32);
                 if self.links(nb, l).len() > m_max {
                     self.prune(nb, l, m_max, &mut scored);
@@ -275,11 +327,6 @@ impl Hnsw {
                 cur = best as usize;
             }
         }
-        if level > self.max_level {
-            self.max_level = level;
-            self.entry = Some(id);
-        }
-        id
     }
 
     fn greedy_closest(&self, query: &[f32], start: usize, layer: usize) -> usize {
@@ -507,6 +554,9 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
 
+        /// Inserts interleaved with removes and in-place updates; an update
+        /// must also keep the node count, the tombstone count and the
+        /// node's level, and its row must read back as the new vector.
         #[test]
         fn layout_invariants_hold_after_every_insert(
             m in 2usize..=12,
@@ -518,10 +568,13 @@ mod tests {
             let config = HnswConfig { m, ef_construction: 4 * m, ef_search: 2 * m };
             let mut h = Hnsw::new(dim, config);
             let (mut rows, mut levels) = (Vec::new(), Vec::new());
+            // Coordinates from {0, 1, 2}: in low dimensions most rows
+            // repeat, so distance ties are common.
+            let draw_row = |rng: &mut StdRng| -> Vec<f32> {
+                (0..dim).map(|_| rng.gen_range(0..3) as f32).collect()
+            };
             for i in 0..n {
-                // Coordinates from {0, 1, 2}: in low dimensions most rows
-                // repeat, so distance ties are common.
-                let row: Vec<f32> = (0..dim).map(|_| rng.gen_range(0..3) as f32).collect();
+                let row = draw_row(&mut rng);
                 levels.push(h.draw_level(&mut rng.clone()));
                 h.insert(&row, &mut rng);
                 rows.push(row);
@@ -529,8 +582,28 @@ mod tests {
                     h.remove(rng.gen_range(0..=i));
                 }
                 check_layout(&h, &rows, &levels)?;
+                let id = rng.gen_range(0..=i);
+                if i % 3 == 1 && !h.is_deleted(id) {
+                    let row = draw_row(&mut rng);
+                    let before = (h.len(), h.tombstones(), h.upper[id].len());
+                    h.update(id, &row);
+                    prop_assert_eq!((h.len(), h.tombstones(), h.upper[id].len()), before);
+                    rows[id] = row;
+                    check_layout(&h, &rows, &levels)?;
+                }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "update of removed or unknown id 1")]
+    fn update_of_a_removed_id_panics() {
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut h = Hnsw::new(2, HnswConfig::default());
+        h.insert(&[0.0, 0.0], &mut rng);
+        h.insert(&[1.0, 0.0], &mut rng);
+        h.remove(1);
+        h.update(1, &[2.0, 0.0]);
     }
 
     #[test]

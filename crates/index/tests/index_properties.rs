@@ -123,11 +123,13 @@ fn uniform_rows(rng: &mut StdRng, n: usize, dim: usize) -> Vec<Vec<f32>> {
 }
 
 /// The graph's absolute output bits — each search result and each stored
-/// row — on four builds: the default config over clustered vectors, churn
+/// row — on five builds: the default config over clustered vectors, churn
 /// through the shortlist-widening path, a duplicate-heavy grid where
-/// distance ties reach the frontier and the result list, and removes
-/// interleaved with inserts. The constants were computed before the graph's
-/// internal layout was rewritten; a change to the graph must keep them.
+/// distance ties reach the frontier and the result list, removes
+/// interleaved with inserts, and in-place updates. The first four constants
+/// were computed before the graph's internal layout was rewritten, the
+/// fifth when `Hnsw::update` was added; a change to the graph must keep
+/// them.
 #[test]
 fn hnsw_bits_are_pinned() {
     use rand::Rng;
@@ -186,4 +188,33 @@ fn hnsw_bits_are_pinned() {
     }
     let queries = uniform_rows(&mut rng, 40, 4);
     assert_eq!(hnsw_fingerprint(&h, &queries), 0xa619_d503_1628_0a9d, "m 4 interleaved removes");
+
+    // m 8, dim 16: 800 vectors with every seventh removed, then in-place
+    // updates of live ids drawn at random (the entry point among them): two
+    // in three drift the row by at most 0.05 a coordinate, one in three
+    // moves it to a fresh vector, so stale reverse links and tombstoned
+    // candidates both reach the re-selection.
+    let mut rng = StdRng::seed_from_u64(505);
+    let mut h = Hnsw::new(16, HnswConfig { m: 8, ef_construction: 64, ef_search: 32 });
+    for v in uniform_rows(&mut rng, 800, 16) {
+        h.insert(&v, &mut rng);
+    }
+    for id in (0..800).step_by(7) {
+        h.remove(id);
+    }
+    for i in 0..2400 {
+        let id = rng.gen_range(0..800);
+        if h.is_deleted(id) {
+            continue;
+        }
+        let v: Vec<f32> = if i % 3 == 2 {
+            uniform_rows(&mut rng, 1, 16).remove(0)
+        } else {
+            h.vector(id).iter().map(|&x| x + rng.gen_range(-0.05f32..0.05)).collect()
+        };
+        h.update(id, &v);
+    }
+    assert_eq!((h.len(), h.tombstones()), (800, 115));
+    let queries = uniform_rows(&mut rng, 40, 16);
+    assert_eq!(hnsw_fingerprint(&h, &queries), 0xb0e5_0c02_33ad_f9e3, "m 8 in-place updates");
 }

@@ -629,8 +629,9 @@ fn run(
                     };
                     let res = if delta >= reembed_min_delta {
                         let _reindex = trace::span("stream.reindex");
-                        // Re-insert = tombstone the old vector + insert the
-                        // new one; cache mirrors whatever the index holds.
+                        // A re-insert updates the id's graph node in place
+                        // (no tombstone); cache mirrors whatever the index
+                        // holds.
                         match shards.insert(id, &emb) {
                             Ok(()) => {
                                 cache.insert(id, CacheEntry::new(emb));

@@ -269,9 +269,10 @@ impl ShardSet {
     }
 
     /// Insert (or replace) the embedding for external id `id`. A re-insert
-    /// tombstones the previous vector first, so the id is never duplicated.
-    /// Triggers a shard compaction when tombstones pass the configured
-    /// ratio. A wrong-length vector is refused with
+    /// of a live id updates its graph node in place ([`Hnsw::update`]): it
+    /// leaves no tombstone, so only deletes bring a shard towards
+    /// compaction, which the next insert into it triggers once tombstones
+    /// pass the configured ratio. A wrong-length vector is refused with
     /// [`ServeError::DimMismatch`], a non-finite one with
     /// [`ServeError::InvalidInput`] (as are such queries).
     pub fn insert(&self, id: u64, v: &[f32]) -> Result<(), ServeError> {
@@ -279,13 +280,14 @@ impl ShardSet {
         let s = self.shard_of(id);
         let mut guard = self.write_shard(s).ok_or(ServeError::DegradedShard(s))?;
         let inner = &mut *guard;
-        if let Some(&old) = inner.int_of_ext.get(&id) {
-            inner.hnsw.remove(old);
+        if let Some(&int) = inner.int_of_ext.get(&id) {
+            inner.hnsw.update(int, v);
+        } else {
+            let int = inner.hnsw.insert(v, &mut inner.rng);
+            debug_assert_eq!(int, inner.ext_of_int.len());
+            inner.ext_of_int.push(id);
+            inner.int_of_ext.insert(id, int);
         }
-        let int = inner.hnsw.insert(v, &mut inner.rng);
-        debug_assert_eq!(int, inner.ext_of_int.len());
-        inner.ext_of_int.push(id);
-        inner.int_of_ext.insert(id, int);
         inner.epoch += 1;
         metrics::counter_add(SERVE_INSERTS_TOTAL, 1);
         let (len, tomb) = (inner.hnsw.len(), inner.hnsw.tombstones());
@@ -545,6 +547,11 @@ mod tests {
         assert_eq!(set.live(), 10, "re-insert must not duplicate the id");
         let top = set.query(&newv, 1).unwrap();
         assert_eq!(top[0], (3, 0.0));
+        // The node was updated in place: no tombstone, no new internal id.
+        assert_eq!(set.status().tombstones, 0);
+        let s = set.shard_of(3);
+        let owned = (0..10).filter(|&id| set.shard_of(id) == s).count();
+        assert_eq!(set.shards[s].read().unwrap().ext_of_int.len(), owned);
     }
 
     #[test]
@@ -675,11 +682,12 @@ mod tests {
     }
 
     /// The `stream_append` write path's output bits: 600 ids over two
-    /// shards, then perturbed re-inserts of ids 0..400, which tombstone
-    /// past `compact_ratio` and rebuild each shard at least once. The
-    /// constant is a 64-bit FNV-1a over `query(q, 10)` for 100 probes (id
-    /// and distance bits), computed before the graph's internal layout was
-    /// rewritten.
+    /// shards, then perturbed re-inserts of ids 0..400, which update their
+    /// nodes in place and leave no tombstone. The constant is a 64-bit
+    /// FNV-1a over `query(q, 10)` for 100 probes (id and distance bits),
+    /// computed before the graph's internal layout was rewritten, when each
+    /// re-insert still tombstoned its old node and the shards rebuilt; the
+    /// exact rerank of a 64-wide shortlist returns the same top 10.
     #[test]
     fn stream_path_query_bits_are_pinned() {
         let dim = 8;
@@ -695,12 +703,8 @@ mod tests {
                 .collect();
             set.insert(id, &v).unwrap();
         }
-        // Without a rebuild every re-insert would still be a tombstone.
         let status = set.status();
-        for shard in &status.shards {
-            let reinserted = (0..400).filter(|&id| set.shard_of(id) == shard.shard).count();
-            assert!(shard.tombstones < reinserted, "shard {} never compacted", shard.shard);
-        }
+        assert_eq!(status.tombstones, 0, "a re-insert left a tombstone");
         assert_eq!(status.live, 600);
         let mut hash = 0xcbf2_9ce4_8422_2325u64;
         for probe in 0..100 {

@@ -15,8 +15,10 @@
 //!   thread, which keeps serving unchanged results.
 //!
 //! The metrics registry is process-global and tests share one binary, so
-//! every metrics-sensitive test takes a shared lock (same idiom as
-//! `crates/eval/tests/serving_metrics.rs`).
+//! every test takes a shared lock (same idiom as
+//! `crates/eval/tests/serving_metrics.rs`): even a test that reads no
+//! metric sets the `serve_degraded_shards` gauge through `status()` or
+//! `fault_poison`, which a parallel test asserting the gauge would read.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -61,6 +63,7 @@ fn populated_set(n: u64, shards: usize) -> ShardSet {
 
 #[test]
 fn panicking_shard_worker_leaves_the_engine_serving() {
+    let _l = test_lock();
     let set = populated_set(60, 3);
     let victim = 1usize;
 
@@ -189,6 +192,7 @@ fn corrupt_cache_entry_is_detected_and_recomputed() {
 
 #[test]
 fn hostile_requests_get_typed_errors_and_the_engine_keeps_serving() {
+    let _l = test_lock();
     let engine = ServeEngine::start(
         ModelKind::TmnNm,
         &ModelConfig { dim: 16, seed: 9 },
@@ -227,6 +231,7 @@ fn hostile_requests_get_typed_errors_and_the_engine_keeps_serving() {
 
 #[test]
 fn queries_race_compaction_without_corruption() {
+    let _l = test_lock();
     let set = Arc::new(populated_set(80, 2));
     // Build up tombstones so compaction has real work to do.
     for id in (0..80).step_by(2) {

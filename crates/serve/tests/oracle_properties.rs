@@ -153,6 +153,7 @@ fn long_churn_of_drifting_reinserts_tracks_the_oracle() {
     }
 
     assert_eq!(set.live(), IDS as usize);
+    assert_eq!(set.status().tombstones, 0, "a re-insert of a live id left a tombstone");
     let bits = |v: &[f32]| -> Vec<u32> { v.iter().map(|x| x.to_bits()).collect() };
     for (&id, v) in &reference {
         let got = set.get_vec(id).unwrap_or_else(|| panic!("id {id} lost"));

@@ -33,8 +33,8 @@ const MCFG: ModelConfig = ModelConfig { dim: 16, seed: 7 };
 
 fn cfg() -> ServeConfig {
     ServeConfig {
-        // `compact_min` low enough that the workload's appends to one id
-        // tombstone its shard past `compact_ratio` and rebuild it.
+        // `compact_min` low enough that the workload's deletes take id 4's
+        // shard past `compact_ratio`, so its first re-index rebuilds it.
         shard: ShardSetConfig { shards: 2, shortlist: 32, compact_min: 16, ..Default::default() },
         max_batch: 8,
         ..Default::default()
@@ -54,6 +54,15 @@ fn run_workload() -> (RankedBits, Vec<String>, (usize, usize, usize)) {
         h.insert(i, traj(i, 8 + (i % 5) as usize)).unwrap();
     }
     h.delete(11).unwrap();
+    // A streamed re-insert updates its node in place, so only deletes
+    // leave tombstones: eight of id 4's shard-mates go.
+    let shards = engine.shards();
+    let mates: Vec<u64> =
+        (18..32).filter(|&id| shards.shard_of(id) == shards.shard_of(4)).take(8).collect();
+    assert_eq!(mates.len(), 8, "too few of ids 18..32 share id 4's shard");
+    for id in mates {
+        h.delete(id).unwrap();
+    }
 
     let mut results: RankedBits = Vec::new();
     let mut outcomes: Vec<String> = Vec::new();
@@ -156,17 +165,18 @@ fn tracing_on_and_off_serve_identically() {
         assert!(a.span_named("stream.reindex").is_some(), "append {i} lacks stream.reindex");
     }
 
-    // The re-insert that tips a shard past its tombstone ratio rebuilds it
-    // inside the append, and the rebuild's span names that tail.
+    // The first re-insert into a shard whose deletes passed its tombstone
+    // ratio rebuilds it inside the append, and the rebuild's span names
+    // that tail. Re-inserts leave no tombstone, so no later append
+    // rebuilds again.
     let compactions: Vec<_> =
         appends.iter().filter_map(|a| Some((a, a.span_named("shard.compact")?))).collect();
-    assert!(!compactions.is_empty(), "no append compacted its shard");
-    for (a, compact) in compactions {
-        let reindex = a.span_named("stream.reindex").expect("checked above");
-        assert_eq!(compact.parent, reindex.span, "the rebuild nests under the re-index");
-        for key in ["live", "tombstones"] {
-            assert!(compact.attrs.iter().any(|a| a.key == key), "shard.compact lacks {key}");
-        }
+    assert_eq!(compactions.len(), 1, "exactly one append must compact its shard");
+    let (a, compact) = compactions[0];
+    let reindex = a.span_named("stream.reindex").expect("checked above");
+    assert_eq!(compact.parent, reindex.span, "the rebuild nests under the re-index");
+    for key in ["live", "tombstones"] {
+        assert!(compact.attrs.iter().any(|a| a.key == key), "shard.compact lacks {key}");
     }
 
     // Only re-indexed appends count as re-indexes: under an unreachable

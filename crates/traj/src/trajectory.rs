@@ -31,7 +31,14 @@ impl Trajectory {
         &self.points
     }
 
+    /// Append one point. A full buffer grows by an eighth (plus one point),
+    /// not by doubling: a streamed trajectory then carries at most ~12.5%
+    /// unused capacity, and growth is still geometric, so a push stays
+    /// amortised O(1).
     pub fn push(&mut self, p: Point) {
+        if self.points.len() == self.points.capacity() {
+            self.points.reserve_exact(self.points.len() / 8 + 1);
+        }
         self.points.push(p);
     }
 
@@ -141,6 +148,17 @@ mod tests {
         assert_eq!(t.len(), 4);
         assert!(!t.is_empty());
         assert_eq!(t[2], Point::new(1.0, 1.0));
+    }
+
+    #[test]
+    fn push_grows_by_an_eighth() {
+        let mut t = Trajectory::default();
+        for i in 0..1000 {
+            t.push(Point::new(i as f64, 0.0));
+            let slack = t.points.capacity() - t.len();
+            assert!(slack <= t.len() / 8 + 1, "{slack} spare slots at length {}", t.len());
+        }
+        assert_eq!(t[999], Point::new(999.0, 0.0));
     }
 
     #[test]

@@ -36,6 +36,12 @@ echo "== test the distance kernels, the store, the index and the engine in relea
 # pins must hold under the optimizer as well.
 cargo test --release -q -p tmn-traj -p tmn-store -p tmn-index -p tmn-serve
 
+echo "== stream parity in release =="
+# The engine steps each stream's recurrent state with release code; the
+# streamed LSTM and GRU states must equal the whole-sequence forward bit for
+# bit under the optimizer too.
+cargo test --release -q -p tmn-autograd --test stream_parity
+
 echo "== clippy (-D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
