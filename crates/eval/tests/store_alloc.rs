@@ -10,7 +10,8 @@
 
 use tmn_eval::EmbeddingStore;
 use tmn_obs::memory;
-use tmn_store::CorpusFile;
+use tmn_store::{BlockedDistanceMatrix, CorpusFile};
+use tmn_traj::metrics::{Metric, MetricParams};
 use tmn_traj::{Point, Trajectory};
 
 /// The armed counter is process-global; serialize measuring tests.
@@ -79,4 +80,38 @@ fn corpus_point_slice_reads_are_allocation_free() {
     let delta = memory::alloc_count() - before;
     assert!(sum.is_finite());
     assert!(delta <= 4, "reading {N} mapped trajectories allocated {delta} times");
+}
+
+#[test]
+fn blocked_ground_truth_peak_heap_stays_below_the_dense_matrix() {
+    // The blocked build holds a few tiles in flight and spills each one, so
+    // its heap high-water mark stays a small fraction of the n x n f64
+    // matrix that the dense build materializes.
+    let _l = test_lock();
+    const N: usize = 1024;
+    let trajs: Vec<Trajectory> = (0..N)
+        .map(|i| {
+            (0..16)
+                .map(|t| {
+                    let h = ((i * 131 + t) as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                    let unit = |bits: u64| (bits & 0xFF_FFFF) as f64 / 16_777_216.0;
+                    Point::new(unit(h >> 40), unit(h >> 16))
+                })
+                .collect()
+        })
+        .collect();
+    let path = tmp("gt.tmns");
+    let live_before = memory::live_bytes();
+    memory::reset_peak();
+    let gt =
+        BlockedDistanceMatrix::compute(&path, &trajs, Metric::Hausdorff, &MetricParams::default(), 2, 64)
+            .unwrap();
+    let growth = memory::peak_bytes().saturating_sub(live_before);
+    let dense = (N * N * std::mem::size_of::<f64>()) as u64;
+    assert_eq!(gt.len(), N);
+    assert!(
+        growth < dense / 4,
+        "blocked ground truth grew the heap by {growth} B, not below a quarter of the \
+         {dense} B dense matrix"
+    );
 }

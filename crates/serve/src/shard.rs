@@ -718,6 +718,40 @@ mod tests {
         assert_eq!(hash, 0x99b3_85ac_9f50_d71b, "ShardSet query bits changed");
     }
 
+    /// The rebuild path's output bits under the default config: 600 ids
+    /// over two shards, every even id deleted, then ids 600..700 inserted.
+    /// The inserts take each shard past the compaction ratio, so both
+    /// shards rebuild from their live ids and end with no tombstone. The
+    /// constant is a 64-bit FNV-1a over `query(q, 10)` for 100 probes (id
+    /// and distance bits), as in `stream_path_query_bits_are_pinned`.
+    #[test]
+    fn rebuild_path_query_bits_are_pinned() {
+        let dim = 8;
+        let set = ShardSet::new(dim, ShardSetConfig { shards: 2, ..Default::default() });
+        for id in 0..600 {
+            set.insert(id, &vec_for(id, dim)).unwrap();
+        }
+        for id in (0..600).step_by(2) {
+            assert!(set.delete(id).unwrap());
+        }
+        for id in 600..700 {
+            set.insert(id, &vec_for(id, dim)).unwrap();
+        }
+        let status = set.status();
+        assert_eq!(status.tombstones, 0, "a shard did not rebuild");
+        assert_eq!(status.live, 400);
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for probe in 0..100 {
+            for (id, d) in set.query(&vec_for(20_000 + probe, dim), 10).unwrap() {
+                for byte in id.to_le_bytes().into_iter().chain(d.to_bits().to_le_bytes()) {
+                    hash ^= u64::from(byte);
+                    hash = hash.wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+        }
+        assert_eq!(hash, 0xb9bd_8c5f_3d9e_789c, "ShardSet query bits changed");
+    }
+
     #[test]
     fn huge_k_with_tombstones_returns_every_live_id() {
         // The shard's shortlist becomes `k`; its graph must clamp the
