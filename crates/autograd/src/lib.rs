@@ -40,8 +40,6 @@ pub mod optim;
 mod profile;
 pub mod simd;
 mod tensor;
-pub mod threading;
 
 pub use profile::INSTRUMENTED_OPS;
 pub use tensor::{grad_buffer_allocs, grad_enabled, no_grad, nodes_created, BackCtx, Tensor};
-pub use threading::{intra_op_threads, set_intra_op_threads};

@@ -4,14 +4,11 @@
 //! `P = softmax(X_a X_bᵀ)` never materializes a transpose.
 //!
 //! The arithmetic lives in [`crate::kernels`] (cache-blocked GEMM with a
-//! naive fallback). The batch loops of `bmm_nn`/`bmm_nt` — forward and both
-//! backward products — fan out over intra-op worker threads via
-//! [`crate::threading::par_batch`]: batch items write disjoint `chunks_mut`
-//! slices, so no tensor ever crosses a thread boundary.
+//! naive fallback). `bmm_nn`/`bmm_nt` run one kernel call per batch item,
+//! in item order, forward and in both backward products.
 
 use crate::kernels::{mm_nn, mm_nt, mm_tn};
 use crate::profile::op_scope;
-use crate::threading::par_batch;
 use crate::Tensor;
 
 /// 2-D matrix product: `[m, k] · [k, n] -> [m, n]`.
@@ -52,32 +49,31 @@ pub fn bmm_nn(a: &Tensor, b: &Tensor) -> Tensor {
     let _prof = op_scope("bmm_nn", 2 * (bs * m * k * n) as u64);
     let mut data = vec![0.0f32; bs * m * n];
     {
-        let (ad_ref, bd_ref) = (a.data(), b.data());
-        let (ad, bd): (&[f32], &[f32]) = (&ad_ref, &bd_ref);
-        par_batch(&mut data, m * n, m * n * k, |i, out| {
+        let (ad, bd) = (a.data(), b.data());
+        for i in 0..bs {
+            let out = &mut data[i * m * n..(i + 1) * m * n];
             mm_nn(&ad[i * m * k..(i + 1) * m * k], &bd[i * k * n..(i + 1) * k * n], m, k, n, out);
-        });
+        }
     }
     Tensor::from_op(&[bs, m, n], data, vec![a.clone(), b.clone()], Box::new(move |ctx| {
         let g = ctx.out_grad;
-        // Accumulating kernels write straight into the pooled grad buffers;
-        // batch items still cover disjoint chunks under par_batch.
+        // Accumulating kernels write straight into the pooled grad buffers.
         if ctx.parents[0].requires_grad() {
-            let bd_ref = ctx.parents[1].data();
-            let bd: &[f32] = &bd_ref;
+            let bd = ctx.parents[1].data();
             ctx.parents[0].accumulate_grad_with(|da| {
-                par_batch(da, m * k, m * n * k, |i, out| {
+                for i in 0..bs {
+                    let out = &mut da[i * m * k..(i + 1) * m * k];
                     mm_nt(&g[i * m * n..(i + 1) * m * n], &bd[i * k * n..(i + 1) * k * n], m, n, k, out);
-                });
+                }
             });
         }
         if ctx.parents[1].requires_grad() {
-            let ad_ref = ctx.parents[0].data();
-            let ad: &[f32] = &ad_ref;
+            let ad = ctx.parents[0].data();
             ctx.parents[1].accumulate_grad_with(|db| {
-                par_batch(db, k * n, m * n * k, |i, out| {
+                for i in 0..bs {
+                    let out = &mut db[i * k * n..(i + 1) * k * n];
                     mm_tn(&ad[i * m * k..(i + 1) * m * k], &g[i * m * n..(i + 1) * m * n], m, k, n, out);
-                });
+                }
             });
         }
     }))
@@ -96,32 +92,32 @@ pub fn bmm_nt(a: &Tensor, b: &Tensor) -> Tensor {
     let _prof = op_scope("bmm_nt", 2 * (bs * m * k * n) as u64);
     let mut data = vec![0.0f32; bs * m * n];
     {
-        let (ad_ref, bd_ref) = (a.data(), b.data());
-        let (ad, bd): (&[f32], &[f32]) = (&ad_ref, &bd_ref);
-        par_batch(&mut data, m * n, m * n * k, |i, out| {
+        let (ad, bd) = (a.data(), b.data());
+        for i in 0..bs {
+            let out = &mut data[i * m * n..(i + 1) * m * n];
             mm_nt(&ad[i * m * k..(i + 1) * m * k], &bd[i * n * k..(i + 1) * n * k], m, k, n, out);
-        });
+        }
     }
     Tensor::from_op(&[bs, m, n], data, vec![a.clone(), b.clone()], Box::new(move |ctx| {
         let g = ctx.out_grad;
         if ctx.parents[0].requires_grad() {
             // da += g · b
-            let bd_ref = ctx.parents[1].data();
-            let bd: &[f32] = &bd_ref;
+            let bd = ctx.parents[1].data();
             ctx.parents[0].accumulate_grad_with(|da| {
-                par_batch(da, m * k, m * n * k, |i, out| {
+                for i in 0..bs {
+                    let out = &mut da[i * m * k..(i + 1) * m * k];
                     mm_nn(&g[i * m * n..(i + 1) * m * n], &bd[i * n * k..(i + 1) * n * k], m, n, k, out);
-                });
+                }
             });
         }
         if ctx.parents[1].requires_grad() {
             // db += gᵀ · a
-            let ad_ref = ctx.parents[0].data();
-            let ad: &[f32] = &ad_ref;
+            let ad = ctx.parents[0].data();
             ctx.parents[1].accumulate_grad_with(|db| {
-                par_batch(db, n * k, m * n * k, |i, out| {
+                for i in 0..bs {
+                    let out = &mut db[i * n * k..(i + 1) * n * k];
                     mm_tn(&g[i * m * n..(i + 1) * m * n], &ad[i * m * k..(i + 1) * m * k], m, n, k, out);
-                });
+                }
             });
         }
     }))
@@ -198,20 +194,5 @@ mod tests {
         check(&[a.clone(), b], |t| sum_all(&bmm_nn(&t[0], &t[1])), 1e-2);
         let c = Tensor::param((0..12).map(|x| 0.15 * x as f32 - 0.7).collect(), &[2, 2, 3]);
         check(&[a, c], |t| sum_all(&bmm_nt(&t[0], &t[1])), 1e-2);
-    }
-
-    #[test]
-    fn bmm_results_independent_of_intra_op_threads() {
-        // Large enough to clear the parallel-dispatch flop threshold.
-        let (bs, m, k, n) = (8usize, 20, 16, 24);
-        let av: Vec<f32> = (0..bs * m * k).map(|x| ((x * 31 % 97) as f32 - 48.0) / 37.0).collect();
-        let bv: Vec<f32> = (0..bs * k * n).map(|x| ((x * 17 % 89) as f32 - 44.0) / 29.0).collect();
-        let a = Tensor::from_vec(av, &[bs, m, k]);
-        let b = Tensor::from_vec(bv, &[bs, k, n]);
-        let serial = bmm_nn(&a, &b).to_vec();
-        crate::threading::set_intra_op_threads(4);
-        let parallel = bmm_nn(&a, &b).to_vec();
-        crate::threading::set_intra_op_threads(1);
-        assert_eq!(serial, parallel, "intra-op threading changed bmm output bits");
     }
 }

@@ -43,9 +43,7 @@ struct KernelRow {
 
 #[derive(serde::Serialize)]
 struct InferRow {
-    /// Active SIMD path ("avx2" / "scalar"). A string, so `bench_diff`
-    /// reports it as informational rather than gating it — two captures on
-    /// different hosts should not fail the gate over hardware.
+    /// Active SIMD path ("avx2" / "scalar").
     simd_dispatch: String,
     trajectories: usize,
     /// Tape-free trajectories embedded per second (batched encode, batch 16).
@@ -92,7 +90,7 @@ struct StreamRow {
     append_ns_p99: f64,
     /// Fraction of appends whose moved embedding was re-inserted into the
     /// index; the rest fell under `reembed_min_delta` and skipped the
-    /// churn. Workload-dependent, so informational rather than gated.
+    /// churn. Workload-dependent.
     reindex_ratio: f64,
 }
 
@@ -107,7 +105,7 @@ struct TraceRow {
     /// (slow_threshold 0, sample_every 1) — the worst-case tracing cost;
     /// production configs sample and pay less.
     trace_on_qps: f64,
-    /// (off - on) / off, in percent. Gated LowerBetter by `bench_diff`.
+    /// (off - on) / off, in percent.
     overhead_pct: f64,
     /// Mean spans per captured query trace — how much detail the overhead
     /// above buys.
@@ -116,7 +114,7 @@ struct TraceRow {
     flight_captured: usize,
 }
 
-#[derive(serde::Serialize, Default)]
+#[derive(serde::Serialize)]
 struct StoreRow {
     /// Trajectories in the on-disk corpus (10x the table-experiment corpus
     /// at every scale — the point of the data plane is headroom).
@@ -134,9 +132,6 @@ struct StoreRow {
     gt_blocked_wall_s: f64,
     /// Wall seconds for the dense in-RAM build of the same matrix.
     gt_inram_wall_s: f64,
-    /// Heap high-water growth during the blocked build; `null` when the
-    /// bench was compiled without `--features mem` and measured nothing.
-    gt_blocked_peak_bytes: Option<usize>,
     /// What a fully materialized n x n f64 matrix would take — the
     /// footprint the blocked path must stay under.
     gt_full_matrix_bytes: usize,
@@ -164,8 +159,7 @@ struct Report {
     trace: TraceRow,
     store: StoreRow,
     /// Training-side metrics registry at end of run (`train_batch_ns`
-    /// histogram, batch counter, wall/memory gauges) — the payload
-    /// `bench_diff` gates across two captures.
+    /// histogram, batch counter, wall/memory gauges).
     metrics: tmn_obs::MetricsSnapshot,
     note: String,
 }
@@ -268,7 +262,7 @@ fn bench_serve(ds: &Dataset, dim: usize) -> ServeRow {
     // Phase 1: single-writer insert throughput into the sharded index.
     let set = Arc::new(ShardSet::new(
         dim,
-        ShardSetConfig { shards, shortlist: 64, ..Default::default() },
+        ShardSetConfig { shards, shortlist: 64 },
     ));
     let t0 = Instant::now();
     for id in 0..corpus {
@@ -316,7 +310,7 @@ fn bench_serve(ds: &Dataset, dim: usize) -> ServeRow {
         ModelKind::TmnNm,
         &ModelConfig { dim, seed: 42 },
         ServeConfig {
-            shard: ShardSetConfig { shards, shortlist: 64, ..Default::default() },
+            shard: ShardSetConfig { shards, shortlist: 64 },
             max_batch: 16,
             ..Default::default()
         },
@@ -362,7 +356,7 @@ fn bench_trace(ds: &Dataset, dim: usize) -> TraceRow {
         ModelKind::TmnNm,
         &ModelConfig { dim, seed: 42 },
         ServeConfig {
-            shard: ShardSetConfig { shards, shortlist: 64, ..Default::default() },
+            shard: ShardSetConfig { shards, shortlist: 64 },
             max_batch: 16,
             ..Default::default()
         },
@@ -434,7 +428,7 @@ fn bench_stream(ds: &Dataset, dim: usize) -> StreamRow {
         ModelKind::TmnNm,
         &ModelConfig { dim, seed: 42 },
         ServeConfig {
-            shard: ShardSetConfig { shards, shortlist: 64, ..Default::default() },
+            shard: ShardSetConfig { shards, shortlist: 64 },
             max_batch: 16,
             // Small but nonzero: late appends to a long trajectory barely
             // move the embedding, so the skip path gets real coverage.
@@ -484,7 +478,6 @@ fn bench_stream(ds: &Dataset, dim: usize) -> StreamRow {
 /// CRC-framed, spilled) vs fully in RAM, then run the shard-per-core
 /// Table II evaluation off the mmap-backed embedding store.
 fn bench_store(scale: Scale) -> StoreRow {
-    use tmn_obs::memory;
     use tmn_store::{BlockedDistanceMatrix, CorpusFile, CorpusWriter};
     use tmn_traj::GroundTruth;
 
@@ -532,10 +525,8 @@ fn bench_store(scale: Scale) -> StoreRow {
         std::hint::black_box(&f);
     }
 
-    // Blocked out-of-core ground truth, peak-heap accounted.
+    // Blocked out-of-core ground truth.
     let gt_path = dir.join("gt.tmns");
-    let live_before = memory::live_bytes();
-    memory::reset_peak();
     let t0 = Instant::now();
     let blocked = BlockedDistanceMatrix::compute(
         &gt_path,
@@ -547,15 +538,7 @@ fn bench_store(scale: Scale) -> StoreRow {
     )
     .expect("blocked ground truth");
     let gt_blocked_wall_s = t0.elapsed().as_secs_f64();
-    let gt_blocked_peak_bytes = peak_growth_bytes(live_before);
     let gt_full_matrix_bytes = corpus_n * corpus_n * std::mem::size_of::<f64>();
-    if let Some(peak) = gt_blocked_peak_bytes {
-        assert!(
-            peak < gt_full_matrix_bytes,
-            "blocked ground truth peaked at {peak} B, not below the \
-             {gt_full_matrix_bytes} B full-materialization footprint"
-        );
-    }
 
     // The dense in-RAM build of the same matrix, for the wall comparison.
     let t0 = Instant::now();
@@ -598,21 +581,12 @@ fn bench_store(scale: Scale) -> StoreRow {
         mmap_open_ns: open_ns,
         gt_blocked_wall_s,
         gt_inram_wall_s,
-        gt_blocked_peak_bytes,
         gt_full_matrix_bytes,
         eval_qps: queries.len() as f64 / eval_s.max(1e-12),
         eval_queries,
         eval_shards: threads,
         hr10: eval.hr10,
     }
-}
-
-/// Heap high-water growth since `live_before`, or `None` without the
-/// counting allocator: `memory::peak_bytes()` then reads 0, and a 0 in a
-/// lower-better `_bytes` field would read as a perfect score.
-fn peak_growth_bytes(live_before: u64) -> Option<usize> {
-    use tmn_obs::memory;
-    memory::is_active().then(|| memory::peak_bytes().saturating_sub(live_before) as usize)
 }
 
 fn main() {
@@ -703,16 +677,13 @@ fn main() {
     let store = bench_store(scale);
     eprintln!(
         "  store (n={}): corpus {:.1} MB at {:.0} MB/s, mmap open {:.0}ns, \
-         GT blocked {:.1}s (peak {}) vs in-RAM {:.1}s (full {} B), \
+         GT blocked {:.1}s vs in-RAM {:.1}s (full {} B), \
          eval {:.0} q/s on {} shards, HR-10 {:.3}",
         store.corpus_n,
         store.file_bytes as f64 / 1e6,
         store.build_mb_s,
         store.mmap_open_ns,
         store.gt_blocked_wall_s,
-        store
-            .gt_blocked_peak_bytes
-            .map_or("unmeasured".to_string(), |b| format!("{b} B")),
         store.gt_inram_wall_s,
         store.gt_full_matrix_bytes,
         store.eval_qps,
@@ -791,18 +762,3 @@ fn main() {
     write_json("BENCH_throughput", &report).expect("write results");
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn unmeasured_peak_is_null_not_zero() {
-        assert_eq!(peak_growth_bytes(0).is_some(), tmn_obs::memory::is_active());
-        let row = StoreRow {
-            gt_blocked_peak_bytes: None,
-            ..Default::default()
-        };
-        let json = serde_json::to_string(&row).unwrap();
-        assert!(json.contains("\"gt_blocked_peak_bytes\":null"), "{json}");
-    }
-}

@@ -1,6 +1,5 @@
 //! Exporters for [`crate::metrics`] snapshots: Prometheus text exposition
-//! format and a JSON document (the latter is what `results/*.json` embeds
-//! and what `bench_diff` consumes).
+//! format and a JSON document (the latter is what `results/*.json` embeds).
 //!
 //! ## Prometheus naming conventions
 //!

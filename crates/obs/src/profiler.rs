@@ -5,8 +5,7 @@
 //! [`Span::phase`](crate::span::Span::phase) is keyed `(name, kind)`, and its
 //! close adds one call, its wall time, and its FLOP estimate to the registry
 //! under that key. The registry is a `Mutex<HashMap>` shared by all threads
-//! — data-parallel training workers and intra-op kernel threads record into
-//! the same table.
+//! — data-parallel training workers record into the same table.
 //!
 //! The profiler is **off by default**. When off, a profiler span costs one
 //! relaxed atomic load and reads no clock, so instrumented hot paths stay
@@ -129,7 +128,8 @@ impl OpRecord {
 /// Copy of the registry, sorted by `(name, kind)`. The ordering is a
 /// function of *which* spans ran, never of how long they took, so two runs
 /// of the same workload produce identically ordered `PROFILE_ops.json`
-/// files and `bench_diff` sees real deltas instead of row shuffles.
+/// files, and a diff of two captures shows real deltas instead of row
+/// shuffles.
 /// Consumers that want a "top by time" view (the `profile` bin's table)
 /// re-sort their copy.
 pub fn snapshot() -> Vec<OpRecord> {

@@ -757,7 +757,7 @@ mod tests {
 
     fn engine() -> ServeEngine {
         let cfg = ServeConfig {
-            shard: ShardSetConfig { shards: 2, shortlist: 32, ..Default::default() },
+            shard: ShardSetConfig { shards: 2, shortlist: 32 },
             max_batch: 8,
             ..Default::default()
         };
@@ -895,7 +895,7 @@ mod tests {
     #[test]
     fn reembed_min_delta_skips_index_churn() {
         let cfg = ServeConfig {
-            shard: ShardSetConfig { shards: 2, shortlist: 32, ..Default::default() },
+            shard: ShardSetConfig { shards: 2, shortlist: 32 },
             max_batch: 8,
             reembed_min_delta: f64::MAX,
         };

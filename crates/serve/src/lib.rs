@@ -46,7 +46,7 @@ mod engine;
 mod shard;
 
 pub use engine::{AppendOutcome, EngineStatus, ServeConfig, ServeEngine, ServeHandle};
-pub use shard::{ShardSet, ShardSetConfig, ShardSetStatus, ShardStatus};
+pub use shard::{ShardSet, ShardSetConfig, ShardSetStatus, ShardStatus, COMPACT_MIN, COMPACT_RATIO};
 
 /// Gauge: trajectories embedded by the last admission batch (the fan-in the
 /// fused forward amortized over).

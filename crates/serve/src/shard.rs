@@ -30,35 +30,36 @@ use tmn_index::{Hnsw, HnswConfig, ShardRouter};
 use tmn_obs::metrics;
 use tmn_obs::trace;
 
-/// Data-plane configuration.
+/// Data-plane configuration: the two settings a deployment chooses. Every
+/// shard's graph uses [`HnswConfig::default`], and the rebuild policy is
+/// fixed by [`COMPACT_RATIO`] and [`COMPACT_MIN`].
 #[derive(Debug, Clone)]
 pub struct ShardSetConfig {
     /// Shard count; defaults to the host's available parallelism.
     pub shards: usize,
-    pub hnsw: HnswConfig,
     /// Per-shard shortlist (beam width); candidates are exact-reranked.
     pub shortlist: usize,
-    /// Rebuild a shard once tombstones exceed this fraction of its nodes.
-    pub compact_ratio: f64,
-    /// Never compact shards smaller than this (churn on tiny shards is
-    /// cheaper to tolerate than to rebuild).
-    pub compact_min: usize,
-    /// Seed for the per-shard level-draw RNGs (shard s uses `seed + s`).
-    pub seed: u64,
 }
 
 impl Default for ShardSetConfig {
     fn default() -> ShardSetConfig {
         ShardSetConfig {
             shards: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-            hnsw: HnswConfig::default(),
             shortlist: 64,
-            compact_ratio: 0.35,
-            compact_min: 64,
-            seed: 0x5EED_5EED,
         }
     }
 }
+
+/// An insert rebuilds its shard once the shard's tombstones exceed this
+/// fraction of its nodes.
+pub const COMPACT_RATIO: f64 = 0.35;
+
+/// A shard with fewer nodes than this never rebuilds: churn on a tiny
+/// shard is cheaper to tolerate than to rebuild.
+pub const COMPACT_MIN: usize = 64;
+
+/// Seed of the per-shard level-draw RNGs (shard `s` uses `SEED + s`).
+const SEED: u64 = 0x5EED_5EED;
 
 /// One shard's guarded state.
 struct ShardInner {
@@ -75,9 +76,9 @@ struct ShardInner {
 }
 
 impl ShardInner {
-    fn new(dim: usize, cfg: &ShardSetConfig, seed: u64) -> ShardInner {
+    fn new(dim: usize, seed: u64) -> ShardInner {
         ShardInner {
-            hnsw: Hnsw::new(dim, cfg.hnsw),
+            hnsw: Hnsw::new(dim, HnswConfig::default()),
             ext_of_int: Vec::new(),
             int_of_ext: HashMap::new(),
             epoch: 0,
@@ -114,13 +115,13 @@ impl ShardInner {
     /// `shard.compact` span puts the rebuild under the request that
     /// triggered it (a `stream.reindex`, say), so the flight recorder
     /// names the tail it causes.
-    fn compact(&mut self, dim: usize, cfg: &ShardSetConfig) {
+    fn compact(&mut self, dim: usize) {
         let _span = trace::span("shard.compact")
             .attr("live", self.hnsw.live_len() as u64)
             .attr("tombstones", self.hnsw.tombstones() as u64);
         let mut live: Vec<(u64, usize)> = self.int_of_ext.iter().map(|(&e, &i)| (e, i)).collect();
         live.sort_unstable();
-        let mut hnsw = Hnsw::new(dim, cfg.hnsw);
+        let mut hnsw = Hnsw::new(dim, HnswConfig::default());
         hnsw.reserve(live.len());
         let mut ext_of_int = Vec::with_capacity(live.len());
         let mut int_of_ext = HashMap::with_capacity(live.len());
@@ -181,7 +182,8 @@ pub struct EpochObservation {
 
 /// Sharded incremental vector index: the `Sync` core of the serving engine.
 pub struct ShardSet {
-    cfg: ShardSetConfig,
+    /// Per-shard shortlist ([`ShardSetConfig::shortlist`]).
+    shortlist: usize,
     dim: usize,
     router: ShardRouter,
     shards: Vec<RwLock<ShardInner>>,
@@ -194,10 +196,10 @@ impl ShardSet {
         let shards = cfg.shards.max(1);
         let router = ShardRouter::new(shards);
         let inners = (0..shards)
-            .map(|s| RwLock::new(ShardInner::new(dim, &cfg, cfg.seed.wrapping_add(s as u64))))
+            .map(|s| RwLock::new(ShardInner::new(dim, SEED.wrapping_add(s as u64))))
             .collect();
         let degraded = (0..shards).map(|_| AtomicBool::new(false)).collect();
-        ShardSet { cfg, dim, router, shards: inners, degraded }
+        ShardSet { shortlist: cfg.shortlist, dim, router, shards: inners, degraded }
     }
 
     pub fn dim(&self) -> usize {
@@ -272,7 +274,7 @@ impl ShardSet {
     /// of a live id updates its graph node in place ([`Hnsw::update`]): it
     /// leaves no tombstone, so only deletes bring a shard towards
     /// compaction, which the next insert into it triggers once tombstones
-    /// pass the configured ratio. A wrong-length vector is refused with
+    /// pass [`COMPACT_RATIO`]. A wrong-length vector is refused with
     /// [`ServeError::DimMismatch`], a non-finite one with
     /// [`ServeError::InvalidInput`] (as are such queries).
     pub fn insert(&self, id: u64, v: &[f32]) -> Result<(), ServeError> {
@@ -291,8 +293,8 @@ impl ShardSet {
         inner.epoch += 1;
         metrics::counter_add(SERVE_INSERTS_TOTAL, 1);
         let (len, tomb) = (inner.hnsw.len(), inner.hnsw.tombstones());
-        if len >= self.cfg.compact_min && (tomb as f64) > self.cfg.compact_ratio * len as f64 {
-            inner.compact(self.dim, &self.cfg);
+        if len >= COMPACT_MIN && (tomb as f64) > COMPACT_RATIO * len as f64 {
+            inner.compact(self.dim);
         }
         Ok(())
     }
@@ -367,7 +369,7 @@ impl ShardSet {
         k: usize,
     ) -> Result<(Vec<(u64, f64)>, Vec<EpochObservation>), ServeError> {
         self.validate(q)?;
-        let shortlist = self.cfg.shortlist.max(k);
+        let shortlist = self.shortlist.max(k);
         let mut candidates = Vec::new();
         let mut epochs = Vec::with_capacity(self.shards.len());
         // Per-shard knn and rerank each get their own span under the
@@ -432,7 +434,7 @@ impl ShardSet {
     /// "query-during-rebuild" fault test drives exactly that interleaving.
     pub fn compact_shard(&self, s: usize) -> Result<(), ServeError> {
         let mut inner = self.write_shard(s).ok_or(ServeError::DegradedShard(s))?;
-        inner.compact(self.dim, &self.cfg);
+        inner.compact(self.dim);
         Ok(())
     }
 
@@ -514,8 +516,7 @@ mod tests {
     }
 
     fn small_set(n: u64, shards: usize) -> ShardSet {
-        let cfg = ShardSetConfig { shards, shortlist: 32, ..Default::default() };
-        let set = ShardSet::new(4, cfg);
+        let set = ShardSet::new(4, ShardSetConfig { shards, shortlist: 32 });
         for id in 0..n {
             set.insert(id, &vec_for(id, 4)).unwrap();
         }
@@ -621,14 +622,7 @@ mod tests {
                     .collect()
             })
             .collect();
-        let cfg = ShardSetConfig {
-            shards: 2,
-            hnsw: HnswConfig { m: 12, ef_construction: 120, ef_search: 80 },
-            shortlist: 400,
-            seed: 17,
-            ..Default::default()
-        };
-        let set = ShardSet::new(dim, cfg);
+        let set = ShardSet::new(dim, ShardSetConfig { shards: 2, shortlist: 400 });
         for (id, v) in vectors.iter().enumerate() {
             set.insert(id as u64, v).unwrap();
         }
@@ -651,30 +645,44 @@ mod tests {
 
     #[test]
     fn compaction_drops_tombstones() {
-        let cfg = ShardSetConfig {
-            shards: 1,
-            compact_min: 8,
-            compact_ratio: 0.25,
-            ..Default::default()
-        };
-        let set = ShardSet::new(4, cfg);
-        for id in 0..32 {
+        let shard = || ShardSet::new(4, ShardSetConfig { shards: 1, ..Default::default() });
+        // Below COMPACT_MIN (64) nodes a shard keeps its tombstones, whatever
+        // their share; the insert that brings it to 64 nodes rebuilds it.
+        let small = shard();
+        for id in 0..62 {
+            small.insert(id, &vec_for(id, 4)).unwrap();
+        }
+        for id in 0..31 {
+            small.delete(id).unwrap();
+        }
+        small.insert(1000, &vec_for(1000, 4)).unwrap();
+        assert_eq!(small.status().tombstones, 31, "a 63-node shard rebuilt");
+        small.insert(1001, &vec_for(1001, 4)).unwrap();
+        assert_eq!(small.status().tombstones, 0, "a 64-node shard kept its tombstones");
+
+        // The ratio is strict: 35 tombstones of 101 nodes (35.35 allowed)
+        // keep the graph; 36 of 102 (35.7 allowed) rebuild it.
+        const { assert!(35.0 < COMPACT_RATIO * 101.0 && 36.0 > COMPACT_RATIO * 102.0) };
+        let set = shard();
+        for id in 0..100 {
             set.insert(id, &vec_for(id, 4)).unwrap();
         }
-        for id in 0..16 {
+        for id in 0..35 {
             set.delete(id).unwrap();
         }
-        // Next insert crosses the ratio and rebuilds the shard.
         set.insert(100, &vec_for(100, 4)).unwrap();
+        assert_eq!(set.status().tombstones, 35, "35 of 101 rebuilt the shard");
+        set.delete(35).unwrap();
+        set.insert(101, &vec_for(101, 4)).unwrap();
         let status = set.status();
         assert_eq!(status.tombstones, 0, "compaction must drop tombstones");
-        assert_eq!(status.live, 17);
-        let q = vec_for(20, 4);
-        assert_eq!(set.query(&q, 1).unwrap()[0].0, 20, "live ids survive the rebuild");
+        assert_eq!(status.live, 66);
+        let q = vec_for(50, 4);
+        assert_eq!(set.query(&q, 1).unwrap()[0].0, 50, "live ids survive the rebuild");
         // The rebuild copies each row out of the old graph: every live id
         // keeps its inserted vector bit for bit.
         let bits = |v: Vec<f32>| -> Vec<u32> { v.into_iter().map(f32::to_bits).collect() };
-        for id in (16..32).chain([100]) {
+        for id in 36..102 {
             let got = set.get_vec(id).unwrap_or_else(|| panic!("id {id} lost by the rebuild"));
             assert_eq!(bits(got), bits(vec_for(id, 4)), "id {id} vector changed");
         }

@@ -96,7 +96,7 @@ fn writers_and_readers_race_without_losing_state() {
 
     let set = Arc::new(ShardSet::new(
         DIM,
-        ShardSetConfig { shards: 3, shortlist: 48, ..Default::default() },
+        ShardSetConfig { shards: 3, shortlist: 48 },
     ));
     let done = Arc::new(AtomicBool::new(false));
     // Every thread starts together, so the readers overlap the writers even
@@ -211,7 +211,7 @@ fn concurrent_handles_agree_with_the_engine_corpus() {
         ModelKind::TmnNm,
         &ModelConfig { dim: 16, seed: 11 },
         ServeConfig {
-            shard: ShardSetConfig { shards: 2, shortlist: 32, ..Default::default() },
+            shard: ShardSetConfig { shards: 2, shortlist: 32 },
             max_batch: 16,
             ..Default::default()
         },

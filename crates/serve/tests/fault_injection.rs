@@ -54,7 +54,7 @@ fn traj(seed: u64, len: usize) -> Trajectory {
 }
 
 fn populated_set(n: u64, shards: usize) -> ShardSet {
-    let set = ShardSet::new(DIM, ShardSetConfig { shards, shortlist: 48, ..Default::default() });
+    let set = ShardSet::new(DIM, ShardSetConfig { shards, shortlist: 48 });
     for id in 0..n {
         set.insert(id, &vec_for(id)).unwrap();
     }
@@ -114,7 +114,7 @@ fn degraded_mode_is_visible_in_json_and_prometheus() {
         ModelKind::TmnNm,
         &ModelConfig { dim: 16, seed: 3 },
         ServeConfig {
-            shard: ShardSetConfig { shards: 3, shortlist: 32, ..Default::default() },
+            shard: ShardSetConfig { shards: 3, shortlist: 32 },
             max_batch: 8,
             ..Default::default()
         },
@@ -159,7 +159,7 @@ fn corrupt_cache_entry_is_detected_and_recomputed() {
         ModelKind::TmnNm,
         &ModelConfig { dim: 16, seed: 5 },
         ServeConfig {
-            shard: ShardSetConfig { shards: 2, shortlist: 32, ..Default::default() },
+            shard: ShardSetConfig { shards: 2, shortlist: 32 },
             max_batch: 8,
             ..Default::default()
         },
@@ -197,7 +197,7 @@ fn hostile_requests_get_typed_errors_and_the_engine_keeps_serving() {
         ModelKind::TmnNm,
         &ModelConfig { dim: 16, seed: 9 },
         ServeConfig {
-            shard: ShardSetConfig { shards: 2, shortlist: 32, ..Default::default() },
+            shard: ShardSetConfig { shards: 2, shortlist: 32 },
             max_batch: 8,
             ..Default::default()
         },

@@ -84,7 +84,7 @@ fn apply_ops(
 }
 
 fn run_case(shards: usize, ops: &[(u8, u64)]) -> Result<(), String> {
-    let cfg = ShardSetConfig { shards, shortlist: 64, ..Default::default() };
+    let cfg = ShardSetConfig { shards, shortlist: 64 };
     let set = ShardSet::new(DIM, cfg);
     let mut reference: HashMap<u64, Vec<f32>> = HashMap::new();
     let mut versions: HashMap<u64, u64> = HashMap::new();
@@ -132,7 +132,7 @@ fn long_churn_of_drifting_reinserts_tracks_the_oracle() {
     const IDS: u64 = 600;
     const ROUNDS: u64 = 12;
     let unit = |h: u64| (h % 1001) as f32 / 1000.0;
-    let cfg = ShardSetConfig { shards: 2, shortlist: 32, ..Default::default() };
+    let cfg = ShardSetConfig { shards: 2, shortlist: 32 };
     let set = ShardSet::new(CHURN_DIM, cfg);
     let mut reference: HashMap<u64, Vec<f32>> = HashMap::new();
     for id in 0..IDS {
@@ -191,7 +191,7 @@ proptest! {
         // Same interleaving with and without a trailing flush: compaction
         // rebuilds the graphs but must not change what the exact path (or
         // the live set) contains.
-        let cfg = || ShardSetConfig { shards: 2, shortlist: 64, ..Default::default() };
+        let cfg = || ShardSetConfig { shards: 2, shortlist: 64 };
         let plain = ShardSet::new(DIM, cfg());
         let flushed = ShardSet::new(DIM, cfg());
         let (mut r1, mut v1) = (HashMap::new(), HashMap::new());

@@ -78,10 +78,8 @@ fn shortlist_rerank_reproduces_exact_hitting_ratio() {
 
     println!("shortlist sweep (HR@10 exact scan = {hr_exact:.4}):");
     for shortlist in SHORTLISTS {
-        // One shard seeded like a standalone index: the shortlist is the
-        // HNSW beam, the rerank is exact.
-        let cfg = ShardSetConfig { shards: 1, shortlist, seed: 33, ..Default::default() };
-        let set = ShardSet::new(store.dim(), cfg);
+        // One shard: the shortlist is the HNSW beam, the rerank is exact.
+        let set = ShardSet::new(store.dim(), ShardSetConfig { shards: 1, shortlist });
         set.warm_load(&store).unwrap();
         let hnsw_hits: usize = queries
             .iter()

@@ -16,7 +16,7 @@
 
 use tmn_core::{ModelConfig, ModelKind};
 use tmn_obs::{export, metrics, trace, TraceConfig};
-use tmn_serve::{ServeConfig, ServeEngine, ShardSetConfig};
+use tmn_serve::{ServeConfig, ServeEngine, ShardSetConfig, COMPACT_MIN, COMPACT_RATIO};
 use tmn_traj::{Point, Trajectory};
 
 fn traj(seed: u64, len: usize) -> Trajectory {
@@ -33,9 +33,7 @@ const MCFG: ModelConfig = ModelConfig { dim: 16, seed: 7 };
 
 fn cfg() -> ServeConfig {
     ServeConfig {
-        // `compact_min` low enough that the workload's deletes take id 4's
-        // shard past `compact_ratio`, so its first re-index rebuilds it.
-        shard: ShardSetConfig { shards: 2, shortlist: 32, compact_min: 16, ..Default::default() },
+        shard: ShardSetConfig { shards: 2, shortlist: 32 },
         max_batch: 8,
         ..Default::default()
     }
@@ -50,16 +48,20 @@ type RankedBits = Vec<Vec<(u64, u64)>>;
 fn run_workload() -> (RankedBits, Vec<String>, (usize, usize, usize)) {
     let engine = ServeEngine::start(ModelKind::TmnNm, &MCFG, cfg()).unwrap();
     let h = engine.handle();
-    for i in 0..32u64 {
+    for i in 0..160u64 {
         h.insert(i, traj(i, 8 + (i % 5) as usize)).unwrap();
     }
     h.delete(11).unwrap();
     // A streamed re-insert updates its node in place, so only deletes
-    // leave tombstones: eight of id 4's shard-mates go.
+    // leave tombstones. Id 4's shard holds at least COMPACT_MIN nodes, and
+    // just over COMPACT_RATIO of them go, so its first re-index rebuilds it.
     let shards = engine.shards();
-    let mates: Vec<u64> =
-        (18..32).filter(|&id| shards.shard_of(id) == shards.shard_of(4)).take(8).collect();
-    assert_eq!(mates.len(), 8, "too few of ids 18..32 share id 4's shard");
+    let same_shard = |id: &u64| shards.shard_of(*id) == shards.shard_of(4);
+    let nodes = (0..160u64).filter(same_shard).count();
+    assert!(nodes >= COMPACT_MIN, "id 4's shard holds only {nodes} nodes");
+    let doomed = (COMPACT_RATIO * nodes as f64) as usize + 1;
+    let mates: Vec<u64> = (32..160).filter(same_shard).take(doomed).collect();
+    assert_eq!(mates.len(), doomed, "too few of ids 32..160 share id 4's shard");
     for id in mates {
         h.delete(id).unwrap();
     }

@@ -34,7 +34,7 @@ const MCFG: ModelConfig = ModelConfig { dim: 16, seed: 7 };
 
 fn cfg() -> ServeConfig {
     ServeConfig {
-        shard: ShardSetConfig { shards: 2, shortlist: 32, ..Default::default() },
+        shard: ShardSetConfig { shards: 2, shortlist: 32 },
         max_batch: 8,
         ..Default::default()
     }

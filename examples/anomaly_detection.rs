@@ -105,7 +105,7 @@ fn main() {
         ModelKind::TmnNm,
         &model_cfg,
         ServeConfig {
-            shard: ShardSetConfig { shards: 2, shortlist: 48, ..Default::default() },
+            shard: ShardSetConfig { shards: 2, shortlist: 48 },
             max_batch: 16,
             reembed_min_delta: 1e-3,
         },

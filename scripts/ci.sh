@@ -36,11 +36,11 @@ echo "== test the distance kernels, the store, the index and the engine in relea
 # pins must hold under the optimizer as well.
 cargo test --release -q -p tmn-traj -p tmn-store -p tmn-index -p tmn-serve
 
-echo "== stream parity in release =="
-# The engine steps each stream's recurrent state with release code; the
-# streamed LSTM and GRU states must equal the whole-sequence forward bit for
-# bit under the optimizer too.
-cargo test --release -q -p tmn-autograd --test stream_parity
+echo "== test the autograd crate in release =="
+# Training, serving and streaming all run release code: the GEMM bit pins,
+# fused-vs-reference, graphed == tape-free and the streamed LSTM and GRU
+# states == the whole-sequence forward must hold under the optimizer too.
+cargo test --release -q -p tmn-autograd
 
 echo "== clippy (-D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
@@ -57,15 +57,6 @@ in_tmp_dir --bin profile -- --quick
 test -s "$tmp_dir/results/PROFILE_ops.json"
 test -s "$tmp_dir/results/PROFILE_telemetry.jsonl"
 in_tmp_dir --bin profile -- --check
-
-echo "== bench_diff self-check (regression gate dry run) =="
-# Identity diff of a results file against itself must pass; a synthetic
-# perturbation of every gated metric must be caught. Two-run usage:
-#   cargo run --release -p tmn-bench --bin bench_diff -- base.json head.json
-in_tmp_dir --bin bench_diff -- --self-check results/PROFILE_ops.json
-if [ -s results/BENCH_throughput.json ]; then
-  cargo run --release -p tmn-bench --bin bench_diff -- --self-check results/BENCH_throughput.json
-fi
 
 echo "== benchmark output checks (every workload once, 2 s each) =="
 # Each run checks its own outputs and exits nonzero when one is wrong:

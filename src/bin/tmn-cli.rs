@@ -48,6 +48,19 @@ fn parse_flags(args: &[String]) -> HashMap<String, String> {
     out
 }
 
+/// The value of numeric flag `--name`: `default` when the flag is absent,
+/// an error when its value does not parse.
+fn num<T>(flags: &HashMap<String, String>, name: &str, default: T) -> Result<T, String>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    match flags.get(name) {
+        None => Ok(default),
+        Some(v) => v.parse().map_err(|e| format!("--{name} {v}: {e}")),
+    }
+}
+
 fn model_kind(name: &str) -> Result<ModelKind, String> {
     match name.to_lowercase().as_str() {
         "srn" => Ok(ModelKind::Srn),
@@ -84,8 +97,8 @@ fn cmd_generate(flags: &HashMap<String, String>) -> Result<(), String> {
         "geolife" => DatasetKind::GeolifeLike,
         other => return Err(format!("unknown dataset kind {other} (porto|geolife)")),
     };
-    let count: usize = flags.get("count").map(|s| s.parse()).transpose().map_err(|e| format!("{e}"))?.unwrap_or(300);
-    let seed: u64 = flags.get("seed").map(|s| s.parse()).transpose().map_err(|e| format!("{e}"))?.unwrap_or(7);
+    let count: usize = num(flags, "count", 300)?;
+    let seed: u64 = num(flags, "seed", 7)?;
     let out = flags.get("out").ok_or("--out <file.csv> is required")?;
     use rand::SeedableRng;
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -97,19 +110,22 @@ fn cmd_generate(flags: &HashMap<String, String>) -> Result<(), String> {
 }
 
 fn cmd_train(flags: &HashMap<String, String>) -> Result<(), String> {
-    let raw = load_data(flags)?;
     let metric: Metric = flags.get("metric").map(|s| s.as_str()).unwrap_or("dtw").parse()?;
     let kind = model_kind(flags.get("model").map(|s| s.as_str()).unwrap_or("tmn"))?;
-    let dim: usize = flags.get("dim").and_then(|s| s.parse().ok()).unwrap_or(32);
-    let epochs: usize = flags.get("epochs").and_then(|s| s.parse().ok()).unwrap_or(8);
-    let seed: u64 = flags.get("seed").and_then(|s| s.parse().ok()).unwrap_or(42);
-    let train_ratio: f64 = flags.get("train-ratio").and_then(|s| s.parse().ok()).unwrap_or(0.2);
+    let dim: usize = num(flags, "dim", 32)?;
+    let epochs: usize = num(flags, "epochs", 8)?;
+    let seed: u64 = num(flags, "seed", 42)?;
+    let train_ratio: f64 = num(flags, "train-ratio", 0.2)?;
+    // The models embed points at d̂ = dim / 2 (`ModelConfig::half_dim`).
+    if dim < 2 || !dim.is_multiple_of(2) {
+        return Err(format!("--dim must be even and at least 2, got {dim}"));
+    }
     if !(0.0..=1.0).contains(&train_ratio) {
         return Err(format!("--train-ratio must be in [0, 1], got {train_ratio}"));
     }
     let out = flags.get("out").ok_or("--out <path-prefix> is required")?;
 
-    let kept = filter(raw, &FilterConfig::default());
+    let kept = filter(load_data(flags)?, &FilterConfig::default());
     if kept.len() < 10 {
         return Err(format!("only {} trajectories after filtering; need at least 10", kept.len()));
     }
@@ -179,10 +195,10 @@ fn cmd_encode(flags: &HashMap<String, String>) -> Result<(), String> {
 }
 
 fn cmd_search(flags: &HashMap<String, String>) -> Result<(), String> {
+    let query: usize = num(flags, "query", 0)?;
+    let k: usize = num(flags, "k", 10)?;
     let (model, meta) = load_model(flags)?;
     let test = test_partition(&meta, load_data(flags)?);
-    let query: usize = flags.get("query").and_then(|s| s.parse().ok()).unwrap_or(0);
-    let k: usize = flags.get("k").and_then(|s| s.parse().ok()).unwrap_or(10);
     if query >= test.len() {
         return Err(format!("query {query} out of range ({} test trajectories)", test.len()));
     }
@@ -196,6 +212,10 @@ fn cmd_search(flags: &HashMap<String, String>) -> Result<(), String> {
 }
 
 fn cmd_eval(flags: &HashMap<String, String>) -> Result<(), String> {
+    let nq: usize = num(flags, "queries", 50)?;
+    if nq == 0 {
+        return Err("--queries must be at least 1".into());
+    }
     let (model, meta) = load_model(flags)?;
     let test = test_partition(&meta, load_data(flags)?);
     if test.is_empty() {
@@ -203,7 +223,6 @@ fn cmd_eval(flags: &HashMap<String, String>) -> Result<(), String> {
         return Err(format!("no test trajectories (model trained at --train-ratio {ratio})"));
     }
     let metric: Metric = meta.metric.parse()?;
-    let nq: usize = flags.get("queries").and_then(|s| s.parse().ok()).unwrap_or(50);
     let queries: Vec<usize> = (0..nq.min(test.len())).collect();
     println!("evaluating {} queries against exact {metric}...", queries.len());
     let pred = predicted_distance_rows(model.as_ref(), &test, &queries, 64);

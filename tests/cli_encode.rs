@@ -1,7 +1,9 @@
 //! The `tmn-cli` file workflow end to end: `generate`, `train` and `encode`
 //! run as subprocesses, and the embeddings file `encode` writes opens
 //! through `EmbeddingStore::open_mmap`, the reader the serving side uses.
-//! Train/test splits the commands cannot use end in an error, not a panic.
+//! Train/test splits the commands cannot use, and numeric flags that do not
+//! parse or that no model can use, end in an error, not a panic or a silent
+//! default.
 
 use std::path::Path;
 use std::process::{Command, Output};
@@ -92,5 +94,34 @@ fn unusable_splits_are_errors_not_panics() {
     // A model trained on every trajectory leaves eval no test partition.
     cli(&dir, &train("1.0"));
     cli_error(&dir, &["eval", "--data", "data.csv", "--model", "model"], "no test trajectories");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn malformed_or_unusable_numeric_flags_are_errors() {
+    let dir = std::env::temp_dir().join(format!("tmn-cli-flag-test-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    cli(
+        &dir,
+        &[
+            "generate", "--kind", "porto", "--count", "40", "--seed", "7", "--out", "data.csv",
+        ],
+    );
+    let train = |dim: &'static str| {
+        [
+            "train", "--data", "data.csv", "--model", "srn", "--epochs", "1", "--dim", dim,
+            "--out", "model",
+        ]
+    };
+    cli_error(&dir, &train("33"), "--dim must be even and at least 2, got 33");
+    cli_error(&dir, &train("0"), "--dim must be even and at least 2, got 0");
+    cli_error(&dir, &train("3x"), "--dim 3x");
+    cli(&dir, &train("8"));
+    let model = ["--data", "data.csv", "--model", "model"];
+    let search = |k: &'static str| [&["search"], &model[..], &["--k", k]].concat();
+    cli_error(&dir, &search("abc"), "--k abc");
+    let eval = |n: &'static str| [&["eval"], &model[..], &["--queries", n]].concat();
+    cli_error(&dir, &eval("abc"), "--queries abc");
+    cli_error(&dir, &eval("0"), "--queries must be at least 1");
     std::fs::remove_dir_all(&dir).unwrap();
 }
